@@ -1,0 +1,72 @@
+"""Golden values of the composite bounds and every report component.
+
+`golden_reports.json` holds bound_u, bound_sigma, the 14 component
+series, the true errors and the calibrated bounds of two small runs, as
+computed before the estimator refactor that removed the gradient
+recovery and folded the rate estimates into compose_report.  Any change
+to the estimator arithmetic beyond round-off shows up here.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mixedwave import cli
+from mixedwave import estimators as est
+from mixedwave import verification as ver
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+RTOL = 1e-12
+
+
+def _close(actual, expected):
+    np.testing.assert_allclose(actual, np.array(expected), rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_golden_values(name):
+    g = GOLDEN[name]
+    c = g["case"]
+    problem = ver.PROBLEMS[c["problem"]]()
+    traj = ver.solve_problem(
+        problem, c["n"], c["N"], rt_index=c["rt_index"], forcing_mode=c["forcing_mode"]
+    )
+    err_u, err_sigma = ver.true_error(traj, problem)
+    initial = ver.initial_errors(traj, problem)
+    _close(err_u, g["err_u"])
+    _close(err_sigma, g["err_sigma"])
+    _close(initial, g["initial_errors"])
+
+    report = est.compose_report(
+        traj, A=problem.A, err_u=err_u, err_sigma=err_sigma, initial_errors=initial
+    )
+    assert sorted(report.components) == sorted(g["components"])
+    for key, series in g["components"].items():
+        _close(report.components[key], series)
+    _close(report.bound_u, g["bound_u"])
+    _close(report.bound_sigma, g["bound_sigma"])
+
+    calibrated = est.compose_report(
+        traj, A=problem.A, constants="calibrated", err_u=err_u, err_sigma=err_sigma,
+        initial_errors=initial, calibration=est.calibrate_scales(report),
+    )
+    _close(calibrated.bound_u, g["calibrated_bound_u"])
+    _close(calibrated.bound_sigma, g["calibrated_bound_sigma"])
+
+
+def test_calibrated_cli_report_matches_golden_values(tmp_path):
+    g = GOLDEN["varcoef-rt0"]
+    c = g["case"]
+    out = tmp_path / "est"
+    rc = cli.main([
+        "estimate", "--problem", c["problem"], "--mesh-n", str(c["n"]),
+        "--steps", str(c["N"]), "--constants", "calibrated", "--out", str(out),
+    ])
+    assert rc == 0
+    table = np.genfromtxt(out / "report.csv", delimiter=",", names=True)
+    _close(table["bound_u"], g["calibrated_bound_u"])
+    _close(table["bound_sigma"], g["calibrated_bound_sigma"])
+    for key, series in g["components"].items():
+        _close(table[key], series)
