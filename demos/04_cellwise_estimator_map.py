@@ -17,8 +17,8 @@ se = est.spatial_estimate(
     traj.space,
     traj.Sigma[final],
     est.r2_strong_values(traj, final),
+    traj.U[final],
     A=problem.A,
-    displacement=traj.U[final],
 )
 est.write_cellwise_csv(se, traj.space.mesh, "cells_demo.csv")
 print("cellwise map written to cells_demo.csv")

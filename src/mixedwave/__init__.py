@@ -16,7 +16,6 @@ from .estimators import (
     TemporalEstimate,
     compose_report,
     spatial_estimate,
-    spatial_estimate_rate,
     temporal_estimate,
 )
 from .mesh import (
@@ -38,7 +37,7 @@ from .reconstruction import (
     reconstruct_elliptic,
     reconstruct_trajectory,
 )
-from .solver import TimeGrid, Trajectory, run, semidiscrete_reference, uniform_grid
+from .solver import TimeGrid, Trajectory, run, uniform_grid
 from .spaces import DispField, MixedSpace, StressField, fortin_interpolate, l2_project_scalar
 from .verification import (
     ManufacturedProblem,

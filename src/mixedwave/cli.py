@@ -46,23 +46,19 @@ _DEFAULTS = {
     "steps": 20,
     "T": 0.5,
     "forcing": "pointwise",
-    "recovery": "cg-recovery",
     "constants": "unit",
-    "enrich": 1,
     "out": "out",
     "study": "spatial",
     "levels": "8,16,32",
 }
 
-_INT_KEYS = ("mesh_n", "rt_index", "steps", "enrich")
+_INT_KEYS = ("mesh_n", "rt_index", "steps")
 _FLOAT_KEYS = ("T",)
 _CHOICES = {
     "command": ("solve", "estimate", "study", "oracle-check"),
     "rt_index": (0, 1),
     "forcing": ("pointwise", "average"),
-    "recovery": ("literal", "cg-recovery"),
     "constants": ("unit", "calibrated"),
-    "enrich": (1, 2),
     "study": ("spatial", "temporal"),
 }
 
@@ -117,9 +113,7 @@ def parse_config(argv):
     ap.add_argument("--steps", type=int)
     ap.add_argument("--T", dest="T", type=float)
     ap.add_argument("--forcing")
-    ap.add_argument("--recovery")
     ap.add_argument("--constants")
-    ap.add_argument("--enrich", type=int)
     ap.add_argument("--study", dest="study")
     ap.add_argument("--levels")
     args = ap.parse_args(argv)
@@ -242,32 +236,20 @@ def cmd_estimate(cfg, outdir):
     report = est.compose_report(
         traj,
         A=problem.A,
-        recovery_mode=cfg["recovery"],
-        constants="unit",
         err_u=err_u,
         err_sigma=err_sigma,
         initial_errors=initial_errors(traj, problem),
     )
     if cfg["constants"] == "calibrated":
-        report = est.compose_report(
-            traj,
-            A=problem.A,
-            recovery_mode=cfg["recovery"],
-            constants="calibrated",
-            err_u=err_u,
-            err_sigma=err_sigma,
-            initial_errors=initial_errors(traj, problem),
-            calibration=est.calibrate_scales(report),
-        )
+        report = est.calibrated(report, est.calibrate_scales(report))
     est.write_report_csv(report, os.path.join(outdir, "report.csv"))
-    a0 = None
     final = traj.grid.num_steps
     se = est.spatial_estimate(
         traj.space,
         traj.Sigma[final],
         est.r2_strong_values(traj, final),
+        traj.U[final],
         A=problem.A,
-        displacement=traj.U[final],
     )
     est.write_cellwise_csv(se, traj.space.mesh, os.path.join(outdir, "cells_final.csv"))
     return 0
@@ -284,7 +266,6 @@ def cmd_study(cfg, outdir):
             rt_index=cfg["rt_index"],
             T=cfg["T"],
             forcing_mode=cfg["forcing"],
-            recovery_mode=cfg["recovery"],
             constants=cfg["constants"],
         )
     else:
@@ -354,10 +335,6 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    threads = os.environ.get("MIXEDWAVE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
     except ConfigError as exc:

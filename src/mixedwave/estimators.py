@@ -13,13 +13,17 @@ differences of the stored node values, matching the discrete d_t
 operator of the scheme.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .assembly import as_coefficient, curl_elementwise, edge_tangential_jump
+from .assembly import (
+    as_coefficient,
+    curl_elementwise,
+    disp_l2_norm,
+    disp_l2_norm_cellwise,
+    edge_tangential_jump,
+)
 from .solver import _TIME_PTS, _TIME_WTS, initial_acceleration
 
 
@@ -27,76 +31,8 @@ class EstimatorError(Exception):
     pass
 
 
-class InsufficientHistoryError(EstimatorError):
-    pass
-
-
 class MissingSeriesError(EstimatorError):
     pass
-
-
-class UnknownRecoveryModeError(EstimatorError):
-    pass
-
-
-RECOVERY_MODES = ("literal", "cg-recovery")
-
-
-# ----------------------------------------------------------------------
-# gradient recovery
-# ----------------------------------------------------------------------
-
-class GradientRecovery:
-    """Minimizer of ||h(g - grad w)|| over conforming piecewise-linear w.
-
-    The normal equations use the h^2-weighted stiffness matrix; the
-    constant nullspace is removed by pinning the first vertex.  The
-    factorization is reused across calls, so per-node estimates on a
-    fixed mesh pay only a triangular solve.
-    """
-
-    def __init__(self, space):
-        mesh = space.mesh
-        self.space = space
-        v = mesh.vertices[mesh.cells]  # (T, 3, 2)
-        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-        Jinv = np.linalg.inv(J)  # rows are grad lambda_1, grad lambda_2
-        grads = np.empty((mesh.num_cells, 3, 2))
-        grads[:, 1] = Jinv[:, 0]
-        grads[:, 2] = Jinv[:, 1]
-        grads[:, 0] = -grads[:, 1] - grads[:, 2]
-        self.hat_grads = grads
-
-        w2 = mesh.h_cell ** 2 * mesh.area
-        A_loc = np.einsum("t,tic,tjc->tij", w2, grads, grads)
-        rows = np.repeat(mesh.cells, 3, axis=1)
-        cols = np.tile(mesh.cells, (1, 3))
-        V = mesh.num_vertices
-        K = sp.coo_matrix(
-            (A_loc.ravel(), (rows.ravel(), cols.ravel())), shape=(V, V)
-        ).tolil()
-        K[0, :] = 0.0
-        K[:, 0] = 0.0
-        K[0, 0] = 1.0
-        self._lu = spla.splu(K.tocsc())
-
-    def fit(self, g_at_quad):
-        """Minimizing vertex values for a field g sampled at quadrature."""
-        mesh = self.space.mesh
-        cell_int = np.einsum("tq,tqc->tc", self.space.quad_weights, g_at_quad)
-        b_loc = np.einsum("t,tic,tc->ti", mesh.h_cell ** 2, self.hat_grads, cell_int)
-        b = np.zeros(mesh.num_vertices)
-        np.add.at(b, mesh.cells, b_loc)
-        b[0] = 0.0
-        return self._lu.solve(b)
-
-    def defect_percell(self, g_at_quad):
-        """Per-cell h_K ||g - grad w*||_K at the minimizer w*."""
-        w = self.fit(g_at_quad)
-        gw = np.einsum("ti,tic->tc", w[self.space.mesh.cells], self.hat_grads)
-        d = g_at_quad - gw[:, None, :]
-        sq = np.einsum("tq,tqc,tqc->t", self.space.quad_weights, d, d)
-        return self.space.mesh.h_cell * np.sqrt(np.maximum(sq, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +49,7 @@ class SpatialEstimate:
 
     residual_low: np.ndarray  # ||h^{l+1} r_2||_K
     residual_high: np.ndarray  # ||h r_2||_K
-    gradient: np.ndarray  # ||h(alpha sigma - grad w)||_K
+    gradient: np.ndarray  # ||h(alpha sigma + grad_h U)||_K
     jump: np.ndarray  # edge jumps, halved onto cells
     curl: np.ndarray  # ||h curl(alpha sigma)||_K
 
@@ -132,68 +68,35 @@ def _rss(percell):
     return float(np.sqrt((percell ** 2).sum()))
 
 
-def _cellwise_l2(space, vals):
-    return np.sqrt(np.einsum("tq,tq->t", space.quad_weights, vals ** 2))
-
-
 def _alpha_sigma_at_quad(space, coeff, sigma_coeffs):
     sig = space.stress_field(np.asarray(sigma_coeffs, dtype=float)).at_quad()
     alpha = coeff.alpha_at(space.quad_points)
     return np.einsum("tqcd,tqd->tqc", alpha, sig)
 
 
-def spatial_estimate(
-    space,
-    sigma_coeffs,
-    r2_values,
-    A=None,
-    recovery_mode="cg-recovery",
-    displacement=None,
-    recovery_op=None,
-):
-    """Spatial estimator ingredients for one (sigma, r_2) data set.
+def spatial_estimate(space, sigma_coeffs, r2_values, displacement, A=None):
+    """Spatial estimator ingredients for one (sigma, r_2, U) data set.
 
     r2_values are the strong residual samples at the space quadrature,
     shape (T, nq).  The gradient term is ||h(alpha sigma + grad_h U)||
-    when `displacement` coefficients are given (the node-data form of
-    the composite bounds); otherwise the minimum over w per
-    `recovery_mode`: "cg-recovery" minimizes over conforming linears,
-    "literal" over the broken displacement space itself (whose gradient
-    vanishes identically at l = 0).
+    with U the `displacement` coefficients, the node-data form the
+    composite bounds use.
     """
     coeff = as_coefficient(A)
     mesh = space.mesh
     l = space.rt_index
-    r2_cell = _cellwise_l2(space, np.asarray(r2_values, dtype=float))
+    r2_cell = disp_l2_norm_cellwise(space, np.asarray(r2_values, dtype=float))
     res_low = mesh.h_cell ** (l + 1) * r2_cell
     res_high = mesh.h_cell * r2_cell
 
     g = _alpha_sigma_at_quad(space, coeff, sigma_coeffs)
-    if displacement is not None:
-        grad_u = space.disp_field(np.asarray(displacement, dtype=float)).broken_grad(
-            np.arange(mesh.num_cells), space.quad_points
-        )
-        d = g + grad_u
-        grad_term = mesh.h_cell * np.sqrt(
-            np.einsum("tq,tqc,tqc->t", space.quad_weights, d, d)
-        )
-    elif recovery_mode == "cg-recovery":
-        if recovery_op is None:
-            recovery_op = GradientRecovery(space)
-        grad_term = recovery_op.defect_percell(g)
-    elif recovery_mode == "literal":
-        if l == 0:
-            d = g
-        else:
-            mean = np.einsum("tq,tqc->tc", space.quad_weights, g) / mesh.area[:, None]
-            d = g - mean[:, None, :]
-        grad_term = mesh.h_cell * np.sqrt(
-            np.einsum("tq,tqc,tqc->t", space.quad_weights, d, d)
-        )
-    else:
-        raise UnknownRecoveryModeError(
-            "recovery_mode must be one of {}".format(RECOVERY_MODES)
-        )
+    grad_u = space.disp_field(np.asarray(displacement, dtype=float)).broken_grad(
+        np.arange(mesh.num_cells), space.quad_points
+    )
+    d = g + grad_u
+    grad_term = mesh.h_cell * np.sqrt(
+        np.einsum("tq,tqc,tqc->t", space.quad_weights, d, d)
+    )
 
     sig_field = space.stress_field(np.asarray(sigma_coeffs, dtype=float))
     jump_sq = edge_tangential_jump(sig_field, coeff)  # per-edge integrals
@@ -252,58 +155,6 @@ def r2_strong_values(traj, n, a0=None):
     return dt2 + div - fbar_values(traj, n)
 
 
-def spatial_estimate_rate(
-    traj, n, order, A=None, recovery_op=None, a0=None, _cache=None
-):
-    """Spatial estimate of the backward-differenced node data.
-
-    order = 1 gives the data of the first time difference (terms E_3^n
-    and E_7^n of the composite bounds), order = 2 the second difference
-    (E_8^n).  The gradient term uses the differenced displacement.
-    Raises InsufficientHistoryError when fewer than `order` previous
-    nodes exist (node 0 counts, via the initial-acceleration data).
-    """
-    if order not in (1, 2):
-        raise EstimatorError("difference order must be 1 or 2")
-    if n < order:
-        raise InsufficientHistoryError(
-            "order-{} difference needs node index >= {}".format(order, order)
-        )
-    k = traj.grid.steps
-
-    def r2(j):
-        if _cache is not None:
-            if j not in _cache:
-                _cache[j] = r2_strong_values(traj, j, a0)
-            return _cache[j]
-        return r2_strong_values(traj, j, a0)
-
-    if order == 1:
-        kn = k[n - 1]
-        r2_d = (r2(n) - r2(n - 1)) / kn
-        sig_d = (traj.Sigma[n] - traj.Sigma[n - 1]) / kn
-        u_d = (traj.U[n] - traj.U[n - 1]) / kn
-    else:
-        kn, km = k[n - 1], k[n - 2]
-        r2_d = ((r2(n) - r2(n - 1)) / kn - (r2(n - 1) - r2(n - 2)) / km) / kn
-        sig_d = (
-            (traj.Sigma[n] - traj.Sigma[n - 1]) / kn
-            - (traj.Sigma[n - 1] - traj.Sigma[n - 2]) / km
-        ) / kn
-        u_d = (
-            (traj.U[n] - traj.U[n - 1]) / kn
-            - (traj.U[n - 1] - traj.U[n - 2]) / km
-        ) / kn
-    return spatial_estimate(
-        traj.space,
-        sig_d,
-        r2_d,
-        A=A,
-        displacement=u_d,
-        recovery_op=recovery_op,
-    )
-
-
 # ----------------------------------------------------------------------
 # temporal estimates
 # ----------------------------------------------------------------------
@@ -348,19 +199,18 @@ def _forcing_defect_integral(traj, j):
             traj.f(pts[..., 0], pts[..., 1], t0 + tau * k), dtype=float
         )
         d = fb - np.broadcast_to(fs, fb.shape)
-        total += w * k * float(np.sqrt(np.einsum("tq,tq->", space.quad_weights, d ** 2)))
+        total += w * k * disp_l2_norm(space, d)
     return total
 
 
-def temporal_estimate(traj, projection_defect=None, difference_form=True):
+def temporal_estimate(traj):
     """Accumulate the temporal estimator terms over the whole trajectory.
 
-    projection_defect(j) may supply ||(I - P_h^j) d2U^j||; on the fixed
-    meshes this solver runs it is identically zero (the default), as is
-    the mesh-change part of the first term of the second family.  With
-    difference_form (the default) the data (r_2^j - div Sigma^j) is
-    evaluated directly as d2U^j - f_bar^j, its algebraically identical
-    strong form on a fixed mesh.
+    e11 and e21 carry the projection defect ||(I - P_h^j) d2U^j|| and the
+    mesh-change part of the second family; both are identically zero on
+    the fixed meshes this solver runs.  The data (r_2^j - div Sigma^j)
+    is evaluated as d2U^j - f_bar^j, its algebraically identical strong
+    form on a fixed mesh.
     """
     space = traj.space
     grid = traj.grid
@@ -373,34 +223,26 @@ def temporal_estimate(traj, projection_defect=None, difference_form=True):
 
     def D(j):
         """Samples of (r_2^j - div Sigma^j) = d2U^j - f_bar^j."""
-        if difference_form:
-            dt2 = space.disp_field(dt2_coefficients(traj, j, a0)).at_quad()
-            return dt2 - fbar_values(traj, j)
-        div = space.stress_field(traj.Sigma[j]).div_at_quad()
-        return r2_strong_values(traj, j, a0) - div
-
-    def norm(vals):
-        return float(np.sqrt(np.einsum("tq,tq->", space.quad_weights, vals ** 2)))
+        dt2 = space.disp_field(dt2_coefficients(traj, j, a0)).at_quad()
+        return dt2 - fbar_values(traj, j)
 
     D_prev = D(0)
     dtD_prev = None
     inner_sum = 0.0  # running sum of the k^2/2, k^3/12 addends
     for j in range(1, N + 1):
         kj = k[j - 1]
-        dt2_norm = norm(space.disp_field(traj.dt2U(j)).at_quad())
-        defect = 0.0 if projection_defect is None else float(projection_defect(j))
+        dt2_norm = disp_l2_norm(space, space.disp_field(traj.dt2U(j)).at_quad())
 
-        # int |1 + mu| = 5k/3 and int |mu| = 3k/2 on each interval
-        acc["e11"][j] = (5.0 / 3.0) * kj * defect
+        # int |mu| = 3k/2 on each interval
         acc["e12"][j] = 1.5 * kj * dt2_norm
         acc["e22"][j] = kj ** 2 * dt2_norm
 
         D_j = D(j)
         dtD = (D_j - D_prev) / kj
-        addend = 0.5 * kj ** 2 * norm(dtD)
+        addend = 0.5 * kj ** 2 * disp_l2_norm(space, dtD)
         if dtD_prev is not None:
             dt2D = (dtD - dtD_prev) / kj
-            addend += kj ** 3 / 12.0 * norm(dt2D)
+            addend += kj ** 3 / 12.0 * disp_l2_norm(space, dt2D)
         acc["e13"][j] = addend
         acc["e23"][j] = kj * inner_sum
         inner_sum += addend
@@ -480,7 +322,6 @@ class EstimatorReport:
 def compose_report(
     traj,
     A=None,
-    recovery_mode="cg-recovery",
     constants="unit",
     temporal=None,
     err_u=None,
@@ -511,61 +352,67 @@ def compose_report(
     a0 = initial_acceleration(traj)
     if temporal is None:
         temporal = temporal_estimate(traj)
-    recovery_op = GradientRecovery(space) if recovery_mode == "cg-recovery" else None
 
     # initial-node terms: e10 and e40 are the gradient-defect norms of
     # (Sigma^0, U^0) and their first-difference data; e50 is jump + curl
     # of Sigma^0
     se0 = spatial_estimate(
-        space,
-        traj.Sigma[0],
-        r2_strong_values(traj, 0, a0),
-        A=coeff,
-        displacement=traj.U[0],
+        space, traj.Sigma[0], r2_strong_values(traj, 0, a0), traj.U[0], A=coeff
     )
     e10 = _rss(se0.gradient)
     e50 = _rss(se0.jump) + _rss(se0.curl)
-    k1 = k[0]
     se_rate0 = spatial_estimate(
         space,
-        (traj.Sigma[1] - traj.Sigma[0]) / k1,
+        (traj.Sigma[1] - traj.Sigma[0]) / k[0],
         np.zeros_like(space.quad_weights),
+        traj.dtU[0],
         A=coeff,
-        displacement=traj.dtU[0],
     )
     e40 = _rss(se_rate0.gradient)
 
+    # e3n and e8n estimate the first and second backward differences of
+    # the node data (Sigma, r_2, U)
     comp = {name: np.zeros(N + 1) for name in _COMPONENT_NAMES}
-    r2_cache = {}
+    data = rate = None
     for m in range(N + 1):
-        se = spatial_estimate(
-            space,
-            traj.Sigma[m],
-            r2_cache.setdefault(m, r2_strong_values(traj, m, a0)),
-            A=coeff,
-            displacement=traj.U[m],
-        )
+        prev, prev_rate = data, rate
+        data = (traj.Sigma[m], r2_strong_values(traj, m, a0), traj.U[m])
+        se = spatial_estimate(space, *data, A=coeff)
         comp["e2n"][m] = se.e1
         comp["e6n"][m] = se.e2
         if m >= 1:
-            rate = spatial_estimate_rate(
-                traj, m, 1, A=coeff, recovery_op=recovery_op, a0=a0, _cache=r2_cache
-            )
-            comp["e3n"][m] = rate.e1
+            rate = [(x - y) / k[m - 1] for x, y in zip(data, prev)]
+            comp["e3n"][m] = spatial_estimate(space, *rate, A=coeff).e1
         if m >= 2:
-            rate2 = spatial_estimate_rate(
-                traj, m, 2, A=coeff, recovery_op=recovery_op, a0=a0, _cache=r2_cache
-            )
-            comp["e8n"][m] = rate2.e1
-        # keep the rolling cache small
-        r2_cache.pop(m - 2, None)
+            rate2 = [(x - y) / k[m - 1] for x, y in zip(rate, prev_rate)]
+            comp["e8n"][m] = spatial_estimate(space, *rate2, A=coeff).e1
     comp["sum_k_e3"][1:] = np.cumsum(k * comp["e3n"][1:])
     comp["sum_k_e8"][1:] = np.cumsum(k * comp["e8n"][1:])
     for name in ("e11", "e12", "e13", "e14", "e21", "e22", "e23", "e24"):
         comp[name] = getattr(temporal, name).copy()
 
     err_u0, err_ut0, err_sigma0 = initial_errors
-    s_u, s_sigma = (1.0, 1.0) if constants == "unit" else calibration
+    sum_u, sum_sigma = _estimator_sums(e10, e40, e50, comp)
+    report = EstimatorReport(
+        grid=grid,
+        constants="unit",
+        e10=e10,
+        e40=e40,
+        e50=e50,
+        err_u0=err_u0,
+        err_ut0=err_ut0,
+        err_sigma0=err_sigma0,
+        components=comp,
+        bound_u=err_u0 + sum_u,
+        bound_sigma=err_ut0 + err_sigma0 + sum_sigma,
+        err_u=None if err_u is None else np.asarray(err_u, dtype=float),
+        err_sigma=None if err_sigma is None else np.asarray(err_sigma, dtype=float),
+    )
+    return report if constants == "unit" else calibrated(report, calibration)
+
+
+def _estimator_sums(e10, e40, e50, comp):
+    """Estimator parts of the displacement and stress bounds, per node."""
     sum_u = (
         e10
         + comp["e2n"]
@@ -586,20 +433,24 @@ def compose_report(
         + comp["e13"]
         + comp["e14"]
     )
-    return EstimatorReport(
-        grid=grid,
-        constants=constants,
-        e10=e10,
-        e40=e40,
-        e50=e50,
-        err_u0=err_u0,
-        err_ut0=err_ut0,
-        err_sigma0=err_sigma0,
-        components=comp,
-        bound_u=err_u0 + s_u * sum_u,
-        bound_sigma=err_ut0 + err_sigma0 + s_sigma * sum_sigma,
-        err_u=None if err_u is None else np.asarray(err_u, dtype=float),
-        err_sigma=None if err_sigma is None else np.asarray(err_sigma, dtype=float),
+    return sum_u, sum_sigma
+
+
+def calibrated(report, scales):
+    """The report under the calibrated policy with scales (s_u, s_sigma).
+
+    Only the bounds change: the estimator sums are rebuilt from the
+    stored components and multiplied by the scales.
+    """
+    s_u, s_sigma = scales
+    sum_u, sum_sigma = _estimator_sums(
+        report.e10, report.e40, report.e50, report.components
+    )
+    return replace(
+        report,
+        constants="calibrated",
+        bound_u=report.err_u0 + s_u * sum_u,
+        bound_sigma=report.err_ut0 + report.err_sigma0 + s_sigma * sum_sigma,
         scale_u=s_u,
         scale_sigma=s_sigma,
     )

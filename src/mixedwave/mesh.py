@@ -1,9 +1,7 @@
 """Conforming triangular meshes with connectivity, orientation and sizes.
 
 The mesh is immutable after construction.  Edges carry a canonical global
-orientation (lower to higher vertex index); the per-cell edge signs record
-whether that orientation agrees with the counterclockwise traversal of the
-cell boundary, which fixes jump sign conventions downstream.
+orientation (lower to higher vertex index).
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +38,6 @@ class Mesh:
     cells : (T, 3) int array, positively oriented
     edges : (E, 2) int array, canonical lower-to-higher vertex order
     cell_edges : (T, 3) int array; entry i is the edge opposite vertex i
-    cell_edge_signs : (T, 3) int array; +1 when the canonical edge
-        direction agrees with the ccw boundary traversal of the cell
     edge_cells : (E, 2) int array of incident cells, -1 for missing side
     boundary_edge : (E,) bool array
     h_cell : (T,) longest side per cell
@@ -53,7 +49,6 @@ class Mesh:
     cells: np.ndarray
     edges: np.ndarray
     cell_edges: np.ndarray
-    cell_edge_signs: np.ndarray
     edge_cells: np.ndarray
     boundary_edge: np.ndarray
     h_cell: np.ndarray
@@ -166,7 +161,6 @@ def build_mesh(vertices, cell_list, check_hanging=True):
     raw = np.stack(
         [cells[:, [1, 2]], cells[:, [2, 0]], cells[:, [0, 1]]], axis=1
     )  # (T, 3, 2)
-    signs = np.where(raw[:, :, 0] < raw[:, :, 1], 1, -1).astype(np.int64)
     canon = np.sort(raw, axis=2).reshape(-1, 2)
     edges, inverse = np.unique(canon, axis=0, return_inverse=True)
     cell_edges = inverse.reshape(-1, 3)
@@ -200,14 +194,13 @@ def build_mesh(vertices, cell_list, check_hanging=True):
             "Euler relation V - E + T = 1 violated (got {})".format(euler)
         )
 
-    for arr in (vertices, cells, edges, cell_edges, signs, edge_cells):
+    for arr in (vertices, cells, edges, cell_edges, edge_cells):
         arr.setflags(write=False)
     return Mesh(
         vertices=vertices,
         cells=cells,
         edges=edges,
         cell_edges=cell_edges,
-        cell_edge_signs=signs,
         edge_cells=edge_cells,
         boundary_edge=boundary_edge,
         h_cell=h_cell,
@@ -235,11 +228,6 @@ def refine_uniform(mesh):
     parent = np.repeat(np.arange(mesh.num_cells), 4)
     child = build_mesh(vertices, children.reshape(-1, 3), check_hanging=False)
     return RefinementResult(child_mesh=child, parent_of_cell=parent)
-
-
-def mesh_size_field(mesh):
-    """Return (h_cell, h_edge): cell diameters and edge lengths."""
-    return mesh.h_cell, mesh.h_edge
 
 
 def unit_square_mesh(n):

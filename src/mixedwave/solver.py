@@ -6,9 +6,6 @@ d2U^n = (U^n - U^{n-1} - k_n dU^{n-1}) / k_n^2.  The first step uses
 dU^0 = P_h u1 and U^0 = P_h u0; the initial stress Sigma^0 solves
 (alpha Sigma^0, v) = (U^0, div v), which makes the first discrete
 equation hold at n = 0 as well.
-
-A "semidiscrete reference" is the same stepper run with a tiny uniform
-step; it stands in for the spatially-discrete, time-continuous scheme.
 """
 
 import os
@@ -129,7 +126,9 @@ def _saddle_matrix(system, k):
 
 
 def _factorize(system, k):
-    key = float(k)
+    # Steps that differ only by rounding (np.linspace nodes give several
+    # float values for one nominal step) share one factorization.
+    key = float("%.12g" % k)
     if key not in system._factor_cache:
         try:
             system._factor_cache[key] = spla.splu(_saddle_matrix(system, k))
@@ -231,14 +230,6 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
     )
 
 
-def semidiscrete_reference(system, f, u0, u1, T, kappa, forcing_mode="pointwise"):
-    """Same stepper with a tiny uniform step kappa (semidiscrete stand-in)."""
-    N = int(round(T / kappa))
-    if abs(N * kappa - T) > 1e-12 * max(T, 1.0):
-        raise GridError("kappa must divide T")
-    return run(system, f, u0, u1, uniform_grid(T, N), forcing_mode)
-
-
 def residual_functionals(traj, n):
     """Discrete residuals (r1^n over V_h basis, r2^n over W_h basis).
 
@@ -284,23 +275,44 @@ def save_trajectory(traj, directory):
             fh.write(traj.dtU[n].astype("<f8").tobytes())
 
 
+def _read_exact(fh, size, path):
+    data = fh.read(size)
+    if len(data) != size:
+        raise SolverError(
+            "{} is truncated: expected {} more bytes, got {}".format(
+                path, size, len(data)
+            )
+        )
+    return data
+
+
 def load_states(directory):
-    """Read back (nodes, U, Sigma, dtU) written by save_trajectory."""
+    """Read back (nodes, U, Sigma, dtU) written by save_trajectory.
+
+    Raises SolverError when a state file is truncated, carries trailing
+    bytes, or disagrees with the first file on the block sizes.
+    """
     nodes = []
     with open(os.path.join(directory, "grid.csv")) as fh:
         next(fh)
         for line in fh:
             nodes.append(float(line.split(",")[1]))
     U, Sigma, dtU = [], [], []
+    sizes = None
     for n in range(len(nodes)):
         path = os.path.join(directory, "state_{}.bin".format(n))
         with open(path, "rb") as fh:
             if fh.read(8) != _MAGIC:
                 raise SolverError("bad magic in {}".format(path))
-            nd, ns, idx = struct.unpack("<qqq", fh.read(24))
+            nd, ns, idx = struct.unpack("<qqq", _read_exact(fh, 24, path))
             if idx != n:
                 raise SolverError("state index mismatch in {}".format(path))
-            U.append(np.frombuffer(fh.read(8 * nd), dtype="<f8"))
-            Sigma.append(np.frombuffer(fh.read(8 * ns), dtype="<f8"))
-            dtU.append(np.frombuffer(fh.read(8 * nd), dtype="<f8"))
+            if sizes is None:
+                sizes = (nd, ns)
+            elif (nd, ns) != sizes:
+                raise SolverError("block sizes in {} differ from state_0.bin".format(path))
+            for rows, count in ((U, nd), (Sigma, ns), (dtU, nd)):
+                rows.append(np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8"))
+            if fh.read(1):
+                raise SolverError("trailing bytes in {}".format(path))
     return np.array(nodes), np.array(U), np.array(Sigma), np.array(dtU)

@@ -245,9 +245,6 @@ class MixedSpace:
     def zero_stress(self):
         return self.stress_field(np.zeros(self.n_stress))
 
-    def zero_disp(self):
-        return self.disp_field(np.zeros(self.n_disp))
-
 
 class StressField:
     """RT_l field given by a global coefficient vector."""
@@ -278,10 +275,6 @@ class StressField:
     def eval(self, cells, pts):
         basis = self.space.eval_stress_basis(cells, pts)
         return np.einsum("t...kc,tk->t...c", basis, self.local_coefficients(cells))
-
-    def eval_div(self, cells, pts):
-        basis = self.space.eval_div_basis(cells, pts)
-        return np.einsum("t...k,tk->t...", basis, self.local_coefficients(cells))
 
 
 class DispField:
@@ -330,14 +323,6 @@ def evaluate(field, cell, point):
     pts = np.asarray(point, dtype=float).reshape(1, 1, 2)
     out = field.eval(np.array([cell]), pts)
     return np.squeeze(out, axis=(0, 1))
-
-
-def evaluate_div(field, cell, point):
-    space = field.space
-    if not 0 <= cell < space.mesh.num_cells:
-        raise CellIndexOutOfRangeError("cell {} out of range".format(cell))
-    pts = np.asarray(point, dtype=float).reshape(1, 1, 2)
-    return float(field.eval_div(np.array([cell]), pts)[0, 0])
 
 
 def l2_project_scalar(space, fn):

@@ -8,7 +8,6 @@ step size to the mesh (spatial) or fix the mesh and halve the step
 against a fine reference (temporal).
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ import sympy as sym
 from . import estimators as est
 from . import reconstruction as rec
 from . import solver
-from .assembly import Coefficient, assemble_load, assemble_system
+from .assembly import Coefficient, assemble_load, assemble_system, disp_l2_norm
 from .mesh import unit_square_mesh
 from .spaces import MixedSpace
 
@@ -185,47 +184,45 @@ PROBLEMS = {
 # true errors
 # ----------------------------------------------------------------------
 
+def _disp_error(space, coefficients, exact, t):
+    """||U - exact(t)|| for displacement coefficients U at one node."""
+    pts = space.quad_points
+    d = space.disp_field(coefficients).at_quad() - exact(pts[..., 0], pts[..., 1], t)
+    return disp_l2_norm(space, d)
+
+
+def _stress_error(space, alpha, coefficients, exact, t):
+    """||Sigma - exact(t)||_{A^-1} for stress coefficients Sigma at one node."""
+    pts = space.quad_points
+    cells = np.arange(space.mesh.num_cells)
+    d = space.stress_field(coefficients).eval(cells, pts) - exact(
+        pts[..., 0], pts[..., 1], t
+    )
+    sq = np.einsum("tq,tqcd,tqc,tqd->", space.quad_weights, alpha, d, d)
+    return float(np.sqrt(sq))
+
+
 def true_error(traj, problem):
     """Per-node errors ||U^n - u(t_n)|| and ||Sigma^n - sigma(t_n)||_{A^-1}."""
     space = traj.space
-    pts = space.quad_points
-    w = space.quad_weights
-    alpha = problem.A.alpha_at(pts)
-    cells = np.arange(space.mesh.num_cells)
+    alpha = problem.A.alpha_at(space.quad_points)
     N = traj.grid.num_steps
     err_u = np.zeros(N + 1)
     err_s = np.zeros(N + 1)
-    for m in range(N + 1):
-        t = traj.grid.nodes[m]
-        du = space.disp_field(traj.U[m]).at_quad() - problem.u(
-            pts[..., 0], pts[..., 1], t
-        )
-        err_u[m] = np.sqrt(np.einsum("tq,tq->", w, du ** 2))
-        ds = space.stress_field(traj.Sigma[m]).eval(cells, pts) - problem.sigma(
-            pts[..., 0], pts[..., 1], t
-        )
-        err_s[m] = np.sqrt(np.einsum("tq,tqcd,tqc,tqd->", w, alpha, ds, ds))
+    for m, t in enumerate(traj.grid.nodes):
+        err_u[m] = _disp_error(space, traj.U[m], problem.u, t)
+        err_s[m] = _stress_error(space, alpha, traj.Sigma[m], problem.sigma, t)
     return err_u, err_s
 
 
 def initial_errors(traj, problem):
     """(||e_u(0)||, ||e_{u,t}(0)||, ||e_sigma(0)||_{A^-1})."""
     space = traj.space
-    pts = space.quad_points
-    w = space.quad_weights
-    du = space.disp_field(traj.U[0]).at_quad() - problem.u(pts[..., 0], pts[..., 1], 0.0)
-    dut = space.disp_field(traj.dtU[0]).at_quad() - problem.u_t(
-        pts[..., 0], pts[..., 1], 0.0
-    )
-    cells = np.arange(space.mesh.num_cells)
-    ds = space.stress_field(traj.Sigma[0]).eval(cells, pts) - problem.sigma(
-        pts[..., 0], pts[..., 1], 0.0
-    )
-    alpha = problem.A.alpha_at(pts)
+    alpha = problem.A.alpha_at(space.quad_points)
     return (
-        float(np.sqrt(np.einsum("tq,tq->", w, du ** 2))),
-        float(np.sqrt(np.einsum("tq,tq->", w, dut ** 2))),
-        float(np.sqrt(np.einsum("tq,tqcd,tqc,tqd->", w, alpha, ds, ds))),
+        _disp_error(space, traj.U[0], problem.u, 0.0),
+        _disp_error(space, traj.dtU[0], problem.u_t, 0.0),
+        _stress_error(space, alpha, traj.Sigma[0], problem.sigma, 0.0),
     )
 
 
@@ -305,7 +302,6 @@ def run_spatial_study(
     coupling=0.25,
     T=None,
     forcing_mode="pointwise",
-    recovery_mode="cg-recovery",
     constants="unit",
 ):
     """Refine the mesh with k ~ coupling * h^2 so time error is subdominant.
@@ -331,15 +327,13 @@ def run_spatial_study(
         rep = est.compose_report(
             traj,
             A=problem.A,
-            recovery_mode=recovery_mode,
-            constants="unit",
             err_u=err_u,
             err_sigma=err_s,
             initial_errors=e0,
         )
         if calibration is None:
             calibration = est.calibrate_scales(rep)
-        s_u, s_s = calibration
+        cal = est.calibrated(rep, calibration)
         hs.append(h)
         ks.append(T / N)
         mu, ms = int(np.argmax(err_u)), int(np.argmax(err_s))
@@ -347,10 +341,8 @@ def run_spatial_study(
         es.append(err_s[ms])
         bu_unit.append(rep.bound_u[mu])
         bs_unit.append(rep.bound_sigma[ms])
-        # calibrated bounds are the unit sums rescaled; no recomputation
-        bu_cal.append(rep.err_u0 + s_u * (rep.bound_u[mu] - rep.err_u0))
-        off = rep.err_ut0 + rep.err_sigma0
-        bs_cal.append(off + s_s * (rep.bound_sigma[ms] - off))
+        bu_cal.append(cal.bound_u[mu])
+        bs_cal.append(cal.bound_sigma[ms])
     hs, eu, es = np.array(hs), np.array(eu), np.array(es)
     bu_unit, bs_unit = np.array(bu_unit), np.array(bs_unit)
     bu_cal, bs_cal = np.array(bu_cal), np.array(bs_cal)

@@ -5,7 +5,7 @@ import pytest
 from mixedwave import cli
 
 
-def test_defaults_resolution():
+def test_defaults_resolution(tmp_path):
     cfg = cli.parse_config(["solve", "--problem", "standing-wave"])
     assert cfg["command"] == "solve"
     assert cfg["mesh_n"] == 8
@@ -13,9 +13,13 @@ def test_defaults_resolution():
     assert cfg["T"] == 0.5
     assert cfg["rt_index"] == 0
     assert cfg["forcing"] == "pointwise"
-    assert cfg["recovery"] == "cg-recovery"
     assert cfg["constants"] == "unit"
-    assert cfg["enrich"] == 1
+    for key, value in (("recovery", "literal"), ("enrich", "2")):
+        assert key not in cfg
+        conf = tmp_path / (key + ".conf")
+        conf.write_text("{} = {}\n".format(key, value))
+        with pytest.raises(cli.UnknownKeyError, match=key):
+            cli.read_config_file(str(conf))
 
 
 def test_flag_overrides_config_file(tmp_path):

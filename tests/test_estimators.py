@@ -21,20 +21,12 @@ def _traj(n=4, l=0, N=5, T=0.25, f=None, forcing_mode="pointwise"):
 def test_zero_state_gives_zero_estimates():
     space = MixedSpace(unit_square_mesh(3), 0)
     se = est.spatial_estimate(
-        space, np.zeros(space.n_stress), np.zeros_like(space.quad_weights)
+        space,
+        np.zeros(space.n_stress),
+        np.zeros_like(space.quad_weights),
+        np.zeros(space.n_disp),
     )
     assert se.e1 == 0.0 and se.e2 == 0.0
-
-
-def test_unknown_recovery_mode():
-    space = MixedSpace(unit_square_mesh(2), 0)
-    with pytest.raises(est.UnknownRecoveryModeError):
-        est.spatial_estimate(
-            space,
-            np.zeros(space.n_stress),
-            np.zeros_like(space.quad_weights),
-            recovery_mode="bogus",
-        )
 
 
 def test_spatial_estimate_homogeneous_degree_one():
@@ -42,36 +34,11 @@ def test_spatial_estimate_homogeneous_degree_one():
     space = MixedSpace(unit_square_mesh(3), 1)
     sig = rng.standard_normal(space.n_stress)
     r2 = rng.standard_normal(space.quad_weights.shape)
-    a = est.spatial_estimate(space, sig, r2)
-    b = est.spatial_estimate(space, 3.0 * sig, 3.0 * r2)
+    u = rng.standard_normal(space.n_disp)
+    a = est.spatial_estimate(space, sig, r2, u)
+    b = est.spatial_estimate(space, 3.0 * sig, 3.0 * r2, 3.0 * u)
     assert abs(b.e1 - 3.0 * a.e1) < 1e-10 * max(a.e1, 1.0)
     assert abs(b.e2 - 3.0 * a.e2) < 1e-10 * max(a.e2, 1.0)
-
-
-def test_gradient_recovery_exact_for_recoverable_field():
-    # g = grad of a globally linear function is matched exactly, so the
-    # defect vanishes; a non-gradient field leaves a positive defect
-    space = MixedSpace(unit_square_mesh(3), 0)
-    op = est.GradientRecovery(space)
-    g = np.zeros(space.quad_points.shape[:-1] + (2,))
-    g[..., 0] = 2.0
-    g[..., 1] = -1.0
-    assert est._rss(op.defect_percell(g)) < 1e-12
-    g[..., 0] = space.quad_points[..., 1]
-    g[..., 1] = -space.quad_points[..., 0]
-    assert est._rss(op.defect_percell(g)) > 1e-3
-
-
-def test_recovery_never_exceeds_literal():
-    # cg-recovery minimizes over a richer comparison than taking w = 0,
-    # so its gradient term is no larger than the literal one at l = 0
-    rng = np.random.default_rng(1)
-    space = MixedSpace(unit_square_mesh(3), 0)
-    sig = rng.standard_normal(space.n_stress)
-    r2 = np.zeros_like(space.quad_weights)
-    lit = est.spatial_estimate(space, sig, r2, recovery_mode="literal")
-    cg = est.spatial_estimate(space, sig, r2, recovery_mode="cg-recovery")
-    assert cg.e1 <= lit.e1 + 1e-12
 
 
 def test_e12_closed_form():
@@ -119,34 +86,15 @@ def test_temporal_accumulators_nondecreasing():
         assert np.all(np.diff(arr) >= -1e-15)
 
 
-def test_difference_form_matches_strong_form():
-    f = lambda x, y, t: np.cos(5 * t) * (1 + x)
-    traj = _traj(f=f)
-    a = est.temporal_estimate(traj, difference_form=True)
-    b = est.temporal_estimate(traj, difference_form=False)
-    for name in ("e13", "e23"):
-        ga, gb = getattr(a, name), getattr(b, name)
-        assert np.abs(ga - gb).max() < 1e-9 * max(1.0, ga.max())
-
-
-def test_rate_estimate_insufficient_history():
-    traj = _traj()
-    with pytest.raises(est.InsufficientHistoryError):
-        est.spatial_estimate_rate(traj, 0, 1)
-    with pytest.raises(est.InsufficientHistoryError):
-        est.spatial_estimate_rate(traj, 1, 2)
-    with pytest.raises(est.EstimatorError):
-        est.spatial_estimate_rate(traj, 2, 3)
-
-
 def test_rate_estimate_vanishes_for_stationary_state():
     # zero data: state constant in time, all differences vanish
     space = MixedSpace(unit_square_mesh(3), 0)
     system = assemble_system(space)
     z = lambda x, y: np.zeros(np.shape(x))
     traj = solver.run(system, None, z, z, solver.uniform_grid(0.3, 3))
-    r = est.spatial_estimate_rate(traj, 2, 1)
-    assert r.e1 == 0.0 and r.e2 == 0.0
+    rep = est.compose_report(traj)
+    assert np.all(rep.components["e3n"] == 0.0)
+    assert np.all(rep.components["e8n"] == 0.0)
 
 
 def test_compose_report_shapes_and_policies():
@@ -197,7 +145,7 @@ def test_report_csv_roundtrip(tmp_path):
 def test_cellwise_csv(tmp_path):
     traj = _traj(N=2, T=0.1)
     se = est.spatial_estimate(
-        traj.space, traj.Sigma[-1], est.r2_strong_values(traj, 2)
+        traj.space, traj.Sigma[-1], est.r2_strong_values(traj, 2), traj.U[-1]
     )
     path = tmp_path / "cells.csv"
     est.write_cellwise_csv(se, traj.space.mesh, path)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -116,9 +118,30 @@ def test_trajectory_roundtrip(tmp_path):
     assert np.array_equal(dtU, traj.dtU)
 
 
-def test_semidiscrete_reference_requires_divisible_step():
+def test_truncated_state_file_raises(tmp_path):
+    u0, u1 = _standing_data()
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space)
+    traj = solver.run(system, None, u0, u1, solver.uniform_grid(0.3, 3))
+    out = tmp_path / "out"
+    solver.save_trajectory(traj, out)
+    path = out / "state_2.bin"
+    size = path.stat().st_size
+    os.truncate(path, size - 8)
+    with pytest.raises(solver.SolverError, match="truncated"):
+        solver.load_states(out)
+    with open(path, "ab") as fh:
+        fh.write(bytes(16))
+    with pytest.raises(solver.SolverError, match="trailing"):
+        solver.load_states(out)
+
+
+def test_one_factorization_per_nominal_step():
+    # the steps of uniform_grid(0.5, 40) take several float values
     space = MixedSpace(unit_square_mesh(2), 0)
     system = assemble_system(space)
+    grid = solver.uniform_grid(0.5, 40)
+    assert len(set(grid.steps.tolist())) > 1
     u0, u1 = _standing_data()
-    with pytest.raises(solver.GridError):
-        solver.semidiscrete_reference(system, None, u0, u1, 0.5, 0.3)
+    solver.run(system, None, u0, u1, grid)
+    assert len(system._factor_cache) == 1
