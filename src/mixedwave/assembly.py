@@ -165,14 +165,103 @@ def disp_l2_norm_cellwise(space, vals):
 # estimator ingredients
 # ----------------------------------------------------------------------
 
-def _alpha_sigma_tangential(space, coeff, coefficients, edge_pts, edge_cells_side):
-    """(alpha sigma_h) . t from one side of each selected edge."""
+# Step of the central differences of alpha in the curl operator, relative
+# to h_K (see curl_elementwise).
+_FD_STEP = 1e-6
+
+
+@dataclass(frozen=True)
+class EstimatorOperators:
+    """Sparse linear maps from global stress coefficients Sigma.
+
+    alpha_sigma : (alpha Sigma_h) at the cell quadrature, rows (T, nq, 2)
+    jump : sqrt(w) [(alpha Sigma_h) . t], left minus right, on the
+        interior edges in index order, rows (n_interior, nq_edge)
+    curl : sqrt(w) curl_h(alpha Sigma_h) at the cell quadrature, rows (T, nq)
+    """
+
+    alpha_sigma: sp.csr_matrix
+    jump: sp.csr_matrix
+    curl: sp.csr_matrix
+
+
+def estimator_operators(space, coeff):
+    """The EstimatorOperators of (space, coeff), built on first use.
+
+    They are kept in the space's `operator_cache`, a WeakKeyDictionary
+    keyed on the Coefficient object, so an entry lives exactly as long
+    as its coefficient.
+    """
+    ops = space.operator_cache.get(coeff)
+    if ops is None:
+        ops = space.operator_cache[coeff] = _build_estimator_operators(space, coeff)
+    return ops
+
+
+def _cell_rows(loc, dofs, n_cols):
+    """CSR matrix of per-cell blocks: row i of loc (T, ..., nl) acts on dofs (T, nl)."""
+    n_rows = loc[..., 0].size
+    cols = np.broadcast_to(
+        dofs.reshape((len(dofs),) + (1,) * (loc.ndim - 2) + dofs.shape[1:]), loc.shape
+    )
+    return _scatter(
+        np.repeat(np.arange(n_rows), loc.shape[-1]), cols, loc, (n_rows, n_cols)
+    )
+
+
+def _build_estimator_operators(space, coeff):
     mesh = space.mesh
-    basis = space.eval_stress_basis(edge_cells_side, edge_pts)
-    loc = coefficients[space.cell_stress_dofs[edge_cells_side]]
-    sig = np.einsum("eqkc,ek->eqc", basis, loc)
-    alpha = coeff.alpha_at(edge_pts)
-    return np.einsum("eqcd,eqd->eqc", alpha, sig)
+    n_s = space.n_stress
+    dofs = space.cell_stress_dofs
+    pts = space.quad_points
+    sb = space.stress_at_quad  # (T, nq, nl, 2)
+    alpha = coeff.alpha_at(pts)
+    alpha_sigma = _cell_rows(np.einsum("tqcd,tqkd->tqck", alpha, sb), dofs, n_s)
+
+    # tangential traces from both sides of each interior edge
+    tq, tw = quadrature.segment_rule(space.edge_degree)
+    interior = np.flatnonzero(~mesh.boundary_edge)
+    epts, ew = quadrature.map_to_edges(mesh, tq, tw, interior)
+    alpha_t = np.sqrt(ew)[..., None] * np.einsum(
+        "eqcd,ec->eqd", coeff.alpha_at(epts), mesh.edge_tangents()[interior]
+    )
+    sides = mesh.edge_cells[interior]  # (n_int, 2): left and right cell
+    traces = [
+        np.einsum("eqd,eqkd->eqk", alpha_t, space.eval_stress_basis(sides[:, i], epts))
+        for i in (0, 1)
+    ]
+    jump = _cell_rows(
+        np.concatenate([traces[0], -traces[1]], axis=-1),
+        dofs[sides].reshape(len(interior), 2 * space.n_loc_stress),
+        n_s,
+    )
+
+    # curl(alpha phi_k), as documented in curl_elementwise
+    grad = space.eval_stress_grad_basis(np.arange(mesh.num_cells), pts)
+    adx = np.einsum("tqcd,tqkd->tqkc", alpha, grad[..., 0])
+    ady = np.einsum("tqcd,tqkd->tqkc", alpha, grad[..., 1])
+    curl = adx[..., 1] - ady[..., 0]
+    if not coeff.is_constant:
+        h = mesh.h_cell[:, None, None]
+        for d in range(2):
+            step = np.zeros((1, 1, 2))
+            step[..., d] = 1.0
+            delta = _FD_STEP * h * step
+            ap = coeff.alpha_at(pts + delta)
+            am = coeff.alpha_at(pts - delta)
+            dalpha = (ap - am) / (2.0 * _FD_STEP * h[..., None])
+            term = np.einsum("tqcd,tqkd->tqkc", dalpha, sb)
+            if d == 0:
+                curl = curl + term[..., 1]
+            else:
+                curl = curl - term[..., 0]
+    curl = _cell_rows(np.sqrt(space.quad_weights)[..., None] * curl, dofs, n_s)
+    return EstimatorOperators(alpha_sigma=alpha_sigma, jump=jump, curl=curl)
+
+
+def _block_sums_sq(values, n):
+    """Sums of squares of `values` in n equal consecutive blocks."""
+    return (values.reshape(n, -1) ** 2).sum(axis=1)
 
 
 def edge_tangential_jump(field: StressField, A=None):
@@ -180,57 +269,23 @@ def edge_tangential_jump(field: StressField, A=None):
 
     Boundary edges get 0; the jump uses the canonical edge orientation.
     """
-    space = field.space
-    mesh = space.mesh
-    coeff = as_coefficient(A)
+    mesh = field.space.mesh
+    interior = ~mesh.boundary_edge
+    jump = estimator_operators(field.space, as_coefficient(A)).jump
     out = np.zeros(mesh.num_edges)
-    interior = np.flatnonzero(~mesh.boundary_edge)
-    if len(interior) == 0:
-        return out
-    tq, tw = quadrature.segment_rule(space.edge_degree)
-    pts, w = quadrature.map_to_edges(mesh, tq, tw, interior)
-    tangents = mesh.edge_tangents()[interior]
-    left = mesh.edge_cells[interior, 0]
-    right = mesh.edge_cells[interior, 1]
-    gl = _alpha_sigma_tangential(space, coeff, field.coefficients, pts, left)
-    gr = _alpha_sigma_tangential(space, coeff, field.coefficients, pts, right)
-    jump = np.einsum("eqc,ec->eq", gl - gr, tangents)
-    out[interior] = np.einsum("eq,eq->e", w, jump ** 2)
+    if interior.any():
+        out[interior] = _block_sums_sq(jump @ field.coefficients, interior.sum())
     return out
 
 
-def curl_elementwise(field: StressField, A=None, fd_step_scale=1e-6):
+def curl_elementwise(field: StressField, A=None):
     """Per-cell integrals int_K |curl_h(alpha sigma_h)|^2.
 
     curl g = d1 g2 - d2 g1 with g = alpha sigma_h.  Stress derivatives
-    are analytic; for non-constant A the derivative of alpha is taken by
-    central finite differences of A with step fd_step_scale * h_K.
+    are analytic.  Only A(x) is given, not its derivative, so for
+    non-constant A the derivative of alpha is a central difference with
+    step 1e-6 h_K: its truncation error is O(step^2) and its round-off
+    O(eps / step), which moves bound_sigma by about 1e-11 relative.
     """
-    space = field.space
-    coeff = as_coefficient(A)
-    pts = space.quad_points
-    cells = np.arange(space.mesh.num_cells)
-    loc = field.local_coefficients()
-    sig = field.at_quad()  # (T, nq, 2)
-    grad_basis = space.eval_stress_grad_basis(cells, pts)
-    dsig = np.einsum("tqkcd,tk->tqcd", grad_basis, loc)  # (T, nq, 2, 2)
-    alpha = coeff.alpha_at(pts)
-    # alpha * dsig part: curl contribution with alpha frozen
-    adx = np.einsum("tqcd,tqd->tqc", alpha, dsig[..., 0])
-    ady = np.einsum("tqcd,tqd->tqc", alpha, dsig[..., 1])
-    curl = adx[..., 1] - ady[..., 0]
-    if not coeff.is_constant:
-        h = space.mesh.h_cell[:, None, None]
-        for d in range(2):
-            step = np.zeros((1, 1, 2))
-            step[..., d] = 1.0
-            delta = fd_step_scale * h * step
-            ap = coeff.alpha_at(pts + delta)
-            am = coeff.alpha_at(pts - delta)
-            dalpha = (ap - am) / (2.0 * fd_step_scale * h[..., None])
-            term = np.einsum("tqcd,tqd->tqc", dalpha, sig)
-            if d == 0:
-                curl = curl + term[..., 1]
-            else:
-                curl = curl - term[..., 0]
-    return np.einsum("tq,tq->t", space.quad_weights, curl ** 2)
+    ops = estimator_operators(field.space, as_coefficient(A))
+    return _block_sums_sq(ops.curl @ field.coefficients, field.space.mesh.num_cells)

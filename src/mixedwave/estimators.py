@@ -23,6 +23,7 @@ from .assembly import (
     disp_l2_norm,
     disp_l2_norm_cellwise,
     edge_tangential_jump,
+    estimator_operators,
 )
 from .solver import _TIME_PTS, _TIME_WTS, initial_acceleration
 
@@ -68,19 +69,15 @@ def _rss(percell):
     return float(np.sqrt((percell ** 2).sum()))
 
 
-def _alpha_sigma_at_quad(space, coeff, sigma_coeffs):
-    sig = space.stress_field(np.asarray(sigma_coeffs, dtype=float)).at_quad()
-    alpha = coeff.alpha_at(space.quad_points)
-    return np.einsum("tqcd,tqd->tqc", alpha, sig)
-
-
 def spatial_estimate(space, sigma_coeffs, r2_values, displacement, A=None):
     """Spatial estimator ingredients for one (sigma, r_2, U) data set.
 
     r2_values are the strong residual samples at the space quadrature,
     shape (T, nq).  The gradient term is ||h(alpha sigma + grad_h U)||
     with U the `displacement` coefficients, the node-data form the
-    composite bounds use.
+    composite bounds use.  The sigma terms are products with the
+    operators of (space, A), which are built once per Coefficient
+    object: pass the same Coefficient to reuse them.
     """
     coeff = as_coefficient(A)
     mesh = space.mesh
@@ -89,8 +86,10 @@ def spatial_estimate(space, sigma_coeffs, r2_values, displacement, A=None):
     res_low = mesh.h_cell ** (l + 1) * r2_cell
     res_high = mesh.h_cell * r2_cell
 
-    g = _alpha_sigma_at_quad(space, coeff, sigma_coeffs)
-    grad_u = space.disp_field(np.asarray(displacement, dtype=float)).broken_grad(
+    sig_field = space.stress_field(sigma_coeffs)
+    ops = estimator_operators(space, coeff)
+    g = (ops.alpha_sigma @ sig_field.coefficients).reshape(space.quad_points.shape)
+    grad_u = space.disp_field(displacement).broken_grad(
         np.arange(mesh.num_cells), space.quad_points
     )
     d = g + grad_u
@@ -98,12 +97,10 @@ def spatial_estimate(space, sigma_coeffs, r2_values, displacement, A=None):
         np.einsum("tq,tqc,tqc->t", space.quad_weights, d, d)
     )
 
-    sig_field = space.stress_field(np.asarray(sigma_coeffs, dtype=float))
     jump_sq = edge_tangential_jump(sig_field, coeff)  # per-edge integrals
     cell_jump_sq = 0.5 * mesh.h_edge[mesh.cell_edges] * jump_sq[mesh.cell_edges]
     jump = np.sqrt(cell_jump_sq.sum(axis=1))
-    curl_sq = curl_elementwise(sig_field, coeff)
-    curl = mesh.h_cell * np.sqrt(np.maximum(curl_sq, 0.0))
+    curl = mesh.h_cell * np.sqrt(curl_elementwise(sig_field, coeff))
     return SpatialEstimate(
         residual_low=res_low,
         residual_high=res_high,

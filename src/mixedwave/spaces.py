@@ -13,6 +13,8 @@ coordinates X = (x - x_c) / h_K; for affine triangles this intrinsic
 construction spans the same space as the Piola-mapped reference basis.
 """
 
+import weakref
+
 import numpy as np
 
 from . import quadrature
@@ -82,7 +84,9 @@ def _monomials(exponents, pts_local):
 class MixedSpace:
     """Paired RT_l / discontinuous P_l degree-of-freedom maps on a mesh.
 
-    Immutable after construction; all evaluation methods are pure.
+    Immutable after construction, except for `operator_cache`, where
+    assembly.estimator_operators keeps the estimator operators of each
+    Coefficient used on this space; all evaluation methods are pure.
     """
 
     def __init__(self, mesh: Mesh, rt_index: int, cell_degree=None, edge_degree=None):
@@ -117,6 +121,7 @@ class MixedSpace:
         self._build_dof_maps()
         self._build_nodal_basis()
         self._build_quad_cache()
+        self.operator_cache = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # construction

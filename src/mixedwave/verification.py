@@ -194,10 +194,7 @@ def _disp_error(space, coefficients, exact, t):
 def _stress_error(space, alpha, coefficients, exact, t):
     """||Sigma - exact(t)||_{A^-1} for stress coefficients Sigma at one node."""
     pts = space.quad_points
-    cells = np.arange(space.mesh.num_cells)
-    d = space.stress_field(coefficients).eval(cells, pts) - exact(
-        pts[..., 0], pts[..., 1], t
-    )
+    d = space.stress_field(coefficients).at_quad() - exact(pts[..., 0], pts[..., 1], t)
     sq = np.einsum("tq,tqcd,tqc,tqd->", space.quad_weights, alpha, d, d)
     return float(np.sqrt(sq))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixedwave import assembly as asm
-from mixedwave.mesh import two_triangle_square, unit_square_mesh
+from mixedwave.mesh import build_mesh, two_triangle_square, unit_square_mesh
 from mixedwave.spaces import MixedSpace, fortin_interpolate, l2_project_scalar
 
 
@@ -109,3 +109,12 @@ def test_curl_variable_coefficient_fd_matches_analytic():
     ))
     curls = asm.curl_elementwise(field, A)
     assert np.abs(curls).max() < 1e-12
+
+
+def test_jump_zero_on_one_cell_mesh():
+    # a single triangle has no interior edge, so every jump integral is 0
+    mesh = build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]])
+    for l in (0, 1):
+        space = MixedSpace(mesh, l)
+        field = space.stress_field(np.arange(space.n_stress, dtype=float))
+        assert np.array_equal(asm.edge_tangential_jump(field), np.zeros(3))

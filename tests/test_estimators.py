@@ -1,9 +1,14 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from mixedwave import assembly as asm
 from mixedwave import estimators as est
 from mixedwave import solver
-from mixedwave.assembly import assemble_system
+from mixedwave.assembly import Coefficient, assemble_system
 from mixedwave.mesh import unit_square_mesh
 from mixedwave.spaces import MixedSpace
 
@@ -152,3 +157,68 @@ def test_cellwise_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("cell,x,y,")
     assert len(lines) == traj.space.mesh.num_cells + 1
+
+
+def _varcoef(x, y):
+    out = np.zeros(np.shape(x) + (2, 2))
+    out[..., 0, 0] = 1 + x / 2
+    out[..., 0, 1] = out[..., 1, 0] = 0.1 * y
+    out[..., 1, 1] = 1 + y / 2
+    return out
+
+
+def _estimate_data(space, seed=5):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.standard_normal(space.n_stress),
+        rng.standard_normal(space.quad_weights.shape),
+        rng.standard_normal(space.n_disp),
+    )
+
+
+def test_operator_cache_is_keyed_on_the_coefficient_object():
+    # two coefficients on one space give what each gives on a fresh space
+    space = MixedSpace(unit_square_mesh(3), 1)
+    data = _estimate_data(space)
+    coeffs = (Coefficient(np.diag([2.0, 0.5])), Coefficient(_varcoef))
+    shared = [est.spatial_estimate(space, *data, A=c) for c in coeffs]
+    assert len(space.operator_cache) == 2
+    for c, got in zip(coeffs, shared):
+        fresh = est.spatial_estimate(MixedSpace(unit_square_mesh(3), 1), *data, A=c)
+        for f in dataclasses.fields(est.SpatialEstimate):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(fresh, f.name))
+    assert shared[0].e2 != shared[1].e2
+
+
+def test_repeated_calls_reuse_the_operators(monkeypatch):
+    space = MixedSpace(unit_square_mesh(3), 1)
+    data = _estimate_data(space)
+    coeff = Coefficient(_varcoef)
+    builds = []
+    build = asm._build_estimator_operators
+    monkeypatch.setattr(
+        asm, "_build_estimator_operators", lambda *a: builds.append(a) or build(*a)
+    )
+    first = est.spatial_estimate(space, *data, A=coeff)
+    again = est.spatial_estimate(space, *data, A=coeff)
+    asm.edge_tangential_jump(space.stress_field(data[0]), coeff)
+    asm.curl_elementwise(space.stress_field(data[0]), coeff)
+    assert len(builds) == 1
+    assert again.e1 == first.e1 and again.e2 == first.e2
+
+
+def test_operator_cache_entry_dies_with_its_coefficient():
+    space = MixedSpace(unit_square_mesh(3), 0)
+    data = _estimate_data(space)
+    coeff = Coefficient(_varcoef)
+    est.spatial_estimate(space, *data, A=coeff)
+    ops = weakref.ref(asm.estimator_operators(space, coeff))
+    del coeff
+    gc.collect()
+    assert ops() is None
+    assert len(space.operator_cache) == 0
+    # one-off callers that pass a fresh coefficient leave nothing behind
+    for _ in range(3):
+        est.spatial_estimate(space, *data, A=np.diag([2.0, 3.0]))
+    gc.collect()
+    assert len(space.operator_cache) == 0

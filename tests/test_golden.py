@@ -1,10 +1,13 @@
 """Golden values of the composite bounds and every report component.
 
 `golden_reports.json` holds bound_u, bound_sigma, the 14 component
-series, the true errors and the calibrated bounds of two small runs, as
-computed before the estimator refactor that removed the gradient
-recovery and folded the rate estimates into compose_report.  Any change
-to the estimator arithmetic beyond round-off shows up here.
+series, the true errors and the calibrated bounds of three small runs.
+The first two were computed before the estimator refactor that removed
+the gradient recovery and folded the rate estimates into
+compose_report; the third (variable coefficient, RT1), the only one that
+uses the 8-dof local basis, the finite-difference curl term and the edge
+jumps together, before the estimators became sparse operators.  Any
+change to the estimator arithmetic beyond round-off shows up here.
 """
 
 import json
