@@ -136,16 +136,13 @@ def assemble_system(space, A=None):
     )
 
 
-def assemble_load(space, f, t=None):
-    """Load vector (f(., t), w_h) over the displacement basis."""
-    pts = space.quad_points
-    if t is None:
-        vals = _eval_scalar(f, pts)
-    else:
-        vals = np.broadcast_to(
-            np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float),
-            pts.shape[:-1],
-        )
+def assemble_load(space, f):
+    """Load vector (f, w_h) over the displacement basis, for f(x, y)."""
+    return load_of_values(space, _eval_scalar(f, space.quad_points))
+
+
+def load_of_values(space, vals):
+    """Load vector (f, w_h) from samples of f at the quadrature, shape (T, nq)."""
     loc = np.einsum("tq,tq,tqa->ta", space.quad_weights, vals, space.disp_at_quad)
     out = np.zeros(space.n_disp)
     np.add.at(out, space.cell_disp_dofs, loc)

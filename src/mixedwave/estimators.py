@@ -25,7 +25,6 @@ from .assembly import (
     edge_tangential_jump,
     estimator_operators,
 )
-from .solver import _TIME_PTS, _TIME_WTS, initial_acceleration
 
 
 class EstimatorError(Exception):
@@ -114,42 +113,12 @@ def spatial_estimate(space, sigma_coeffs, r2_values, displacement, A=None):
 # strong residual data along a trajectory
 # ----------------------------------------------------------------------
 
-def fbar_values(traj, n):
-    """Samples of f_bar^n at the space quadrature points, shape (T, nq)."""
-    space = traj.space
-    pts = space.quad_points
-    if traj.f is None:
-        return np.zeros(pts.shape[:-1])
-    if n == 0 or traj.forcing_mode == "pointwise":
-        t = traj.grid.nodes[n]
-        return np.broadcast_to(
-            np.asarray(traj.f(pts[..., 0], pts[..., 1], t), dtype=float),
-            pts.shape[:-1],
-        ).copy()
-    t0, t1 = traj.grid.nodes[n - 1], traj.grid.nodes[n]
-    out = np.zeros(pts.shape[:-1])
-    for tau, w in zip(_TIME_PTS, _TIME_WTS):
-        out += w * np.asarray(
-            traj.f(pts[..., 0], pts[..., 1], t0 + tau * (t1 - t0)), dtype=float
-        )
-    return out
-
-
-def dt2_coefficients(traj, n, a0=None):
-    """Second-difference coefficients, with the t = 0 convention at n = 0."""
-    if n >= 1:
-        return traj.dt2U(n)
-    if a0 is None:
-        a0 = initial_acceleration(traj)
-    return a0
-
-
-def r2_strong_values(traj, n, a0=None):
+def r2_strong_values(traj, n):
     """Strong residual r_2^n = d2U^n + div Sigma^n - f_bar^n at quadrature."""
     space = traj.space
-    dt2 = space.disp_field(dt2_coefficients(traj, n, a0)).at_quad()
+    dt2 = space.disp_field(traj.d2U[n]).at_quad()
     div = space.stress_field(traj.Sigma[n]).div_at_quad()
-    return dt2 + div - fbar_values(traj, n)
+    return dt2 + div - traj.fbar_at(space.quad_points, n)[0]
 
 
 # ----------------------------------------------------------------------
@@ -181,25 +150,6 @@ class TemporalEstimate:
         }
 
 
-def _forcing_defect_integral(traj, j):
-    """int over I_j of ||f_bar^j - f(s)|| ds by Gauss quadrature in time."""
-    if traj.f is None:
-        return 0.0
-    space = traj.space
-    pts = space.quad_points
-    t0, t1 = traj.grid.nodes[j - 1], traj.grid.nodes[j]
-    k = t1 - t0
-    fb = fbar_values(traj, j)
-    total = 0.0
-    for tau, w in zip(_TIME_PTS, _TIME_WTS):
-        fs = np.asarray(
-            traj.f(pts[..., 0], pts[..., 1], t0 + tau * k), dtype=float
-        )
-        d = fb - np.broadcast_to(fs, fb.shape)
-        total += w * k * disp_l2_norm(space, d)
-    return total
-
-
 def temporal_estimate(traj):
     """Accumulate the temporal estimator terms over the whole trajectory.
 
@@ -207,34 +157,33 @@ def temporal_estimate(traj):
     mesh-change part of the second family; both are identically zero on
     the fixed meshes this solver runs.  The data (r_2^j - div Sigma^j)
     is evaluated as d2U^j - f_bar^j, its algebraically identical strong
-    form on a fixed mesh.
+    form on a fixed mesh.  The forcing defect int_{I_j} ||f_bar^j - f||
+    is a 5-point Gauss rule in time on the samples that built f_bar^j.
     """
     space = traj.space
+    pts = space.quad_points
     grid = traj.grid
     N = grid.num_steps
     k = grid.steps
-    a0 = initial_acceleration(traj)
 
     names = ("e11", "e12", "e13", "e14", "e21", "e22", "e23", "e24")
     acc = {name: np.zeros(N + 1) for name in names}
 
-    def D(j):
-        """Samples of (r_2^j - div Sigma^j) = d2U^j - f_bar^j."""
-        dt2 = space.disp_field(dt2_coefficients(traj, j, a0)).at_quad()
-        return dt2 - fbar_values(traj, j)
-
-    D_prev = D(0)
+    # D^j: samples of (r_2^j - div Sigma^j) = d2U^j - f_bar^j
+    D_prev = space.disp_field(traj.d2U[0]).at_quad() - traj.fbar_at(pts, 0)[0]
     dtD_prev = None
     inner_sum = 0.0  # running sum of the k^2/2, k^3/12 addends
     for j in range(1, N + 1):
         kj = k[j - 1]
-        dt2_norm = disp_l2_norm(space, space.disp_field(traj.dt2U(j)).at_quad())
+        dt2 = space.disp_field(traj.d2U[j]).at_quad()
+        dt2_norm = disp_l2_norm(space, dt2)
 
         # int |mu| = 3k/2 on each interval
         acc["e12"][j] = 1.5 * kj * dt2_norm
         acc["e22"][j] = kj ** 2 * dt2_norm
 
-        D_j = D(j)
+        fbar, samples = traj.fbar_at(pts, j, with_samples=True)
+        D_j = dt2 - fbar
         dtD = (D_j - D_prev) / kj
         addend = 0.5 * kj ** 2 * disp_l2_norm(space, dtD)
         if dtD_prev is not None:
@@ -245,7 +194,7 @@ def temporal_estimate(traj):
         inner_sum += addend
         D_prev, dtD_prev = D_j, dtD
 
-        fd = _forcing_defect_integral(traj, j)
+        fd = sum(w * kj * disp_l2_norm(space, fbar - fs) for w, fs in samples)
         acc["e14"][j] = fd
         acc["e24"][j] = kj * fd
 
@@ -346,7 +295,6 @@ def compose_report(
     grid = traj.grid
     N = grid.num_steps
     k = grid.steps
-    a0 = initial_acceleration(traj)
     if temporal is None:
         temporal = temporal_estimate(traj)
 
@@ -354,7 +302,7 @@ def compose_report(
     # (Sigma^0, U^0) and their first-difference data; e50 is jump + curl
     # of Sigma^0
     se0 = spatial_estimate(
-        space, traj.Sigma[0], r2_strong_values(traj, 0, a0), traj.U[0], A=coeff
+        space, traj.Sigma[0], r2_strong_values(traj, 0), traj.U[0], A=coeff
     )
     e10 = _rss(se0.gradient)
     e50 = _rss(se0.jump) + _rss(se0.curl)
@@ -373,7 +321,7 @@ def compose_report(
     data = rate = None
     for m in range(N + 1):
         prev, prev_rate = data, rate
-        data = (traj.Sigma[m], r2_strong_values(traj, m, a0), traj.U[m])
+        data = (traj.Sigma[m], r2_strong_values(traj, m), traj.U[m])
         se = spatial_estimate(space, *data, A=coeff)
         comp["e2n"][m] = se.e1
         comp["e6n"][m] = se.e2

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from . import quadrature
 from .assembly import assemble_system
 from .mesh import refine_uniform
-from .solver import SingularSystemError, TimeGrid, initial_acceleration, load_vector
+from .solver import SingularSystemError, TimeGrid, load_vector
 from .spaces import MixedSpace
 
 
@@ -256,9 +256,10 @@ class EllipticReconstruction:
 def reconstruct_trajectory(traj, enriched=None, levels=1):
     """Reconstruct (u_t^n, sigma_t^n) at every node of `traj`.
 
-    The right-hand side at node n >= 1 is f_bar^n - d2U^n transferred to
-    the enriched space; at n = 0 the discrete initial acceleration
-    stands in for the undefined d2U^0.  The initial reconstruction rates
+    The right-hand side at node n is f_bar^n - d2U^n, with d2U^n
+    transferred to the enriched space and f_bar^n sampled as the run
+    sampled it; node 0 takes the discrete initial acceleration
+    (Trajectory.d2U) and f at t = 0.  The initial reconstruction rates
     are one-sided differences of the node reconstructions.
     """
     space = traj.space
@@ -270,22 +271,11 @@ def reconstruct_trajectory(traj, enriched=None, levels=1):
     N = traj.grid.num_steps
     u_t = np.zeros((N + 1, fine.n_disp))
     s_t = np.zeros((N + 1, fine.n_stress))
-    a0 = initial_acceleration(traj)
     for n in range(N + 1):
-        dt2 = enriched.P_disp @ (a0 if n == 0 else traj.dt2U(n))
-        if traj.f is None:
-            load = np.zeros(fine.n_disp)
-        elif n == 0:
-            load = load_vector(fine_system, traj.f, 0.0, 0.0, "pointwise")
-        else:
-            load = load_vector(
-                fine_system,
-                traj.f,
-                traj.grid.nodes[n - 1],
-                traj.grid.nodes[n],
-                traj.forcing_mode,
-            )
-        rhs = load - fine_system.M_u @ dt2
+        load = load_vector(
+            fine_system, traj.f, *traj.grid.interval(n), traj.forcing_mode
+        )
+        rhs = load - fine_system.M_u @ (enriched.P_disp @ traj.d2U[n])
         u_t[n], s_t[n] = reconstruct_elliptic(fine_system, rhs)
 
     k1 = traj.grid.steps[0]

@@ -11,13 +11,14 @@ equation hold at n = 0 as well.
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .assembly import SaddleSystem, assemble_load
+from .assembly import SaddleSystem, load_of_values
 from .spaces import l2_project_scalar
 
 # 5-point Gauss rule used for all time integrals
@@ -71,6 +72,10 @@ class TimeGrid:
         n = int(np.searchsorted(self.nodes, t, side="left"))
         return max(1, min(n, self.num_steps))
 
+    def interval(self, n):
+        """(t_{n-1}, t_n) of step n; node 0 is the empty step (0, 0)."""
+        return self.nodes[max(n - 1, 0)], self.nodes[n]
+
 
 def uniform_grid(T, N):
     return TimeGrid(np.linspace(0.0, T, N + 1))
@@ -82,6 +87,7 @@ class Trajectory:
 
     U, Sigma, dtU hold one coefficient row per time node; f_bar holds the
     load vectors (f_bar^n, w_h) actually used (row 0 is the load at t=0).
+    forcing_mode is "pointwise" or "average" (see sample_forcing).
     """
 
     grid: TimeGrid
@@ -97,12 +103,26 @@ class Trajectory:
     def space(self):
         return self.system.space
 
-    def dt2U(self, n):
-        """Backward second difference at node n >= 1 (coefficients)."""
-        if n < 1:
-            raise SolverError("second difference needs n >= 1")
-        k = self.grid.steps[n - 1]
-        return (self.dtU[n] - self.dtU[n - 1]) / k
+    @cached_property
+    def d2U(self):
+        """Second differences d2U^n, one coefficient row per node.
+
+        Row n >= 1 is the backward difference (dtU^n - dtU^{n-1}) / k_n
+        of the scheme.  The scheme leaves row 0 undefined; it holds the
+        discrete initial acceleration (initial_acceleration), so the
+        second residual vanishes on the discrete space at n = 0 too.
+        Built from dtU on first use and kept.
+        """
+        d2 = np.empty_like(self.dtU)
+        d2[0] = initial_acceleration(self)
+        d2[1:] = np.diff(self.dtU, axis=0) / self.grid.steps[:, None]
+        return d2
+
+    def fbar_at(self, pts, n, with_samples=False):
+        """sample_forcing of this run's f and mode on step n (node 0: t = 0)."""
+        return sample_forcing(
+            self.f, pts, *self.grid.interval(n), self.forcing_mode, with_samples
+        )
 
     def energy(self, n):
         """Discrete energy ||dtU^n||^2 + ||Sigma^n||^2_{A^-1}."""
@@ -184,24 +204,53 @@ def initial_acceleration(traj):
     return spla.spsolve(s.M_u.tocsc(), rhs)
 
 
+def _check_forcing_mode(forcing_mode):
+    if forcing_mode not in ("pointwise", "average"):
+        raise SolverError("forcing_mode must be 'pointwise' or 'average'")
+
+
+def sample_forcing(f, pts, t_prev, t_n, forcing_mode, with_samples=False):
+    """f_bar^n of the step (t_prev, t_n] at the points `pts` (..., 2).
+
+    f_bar^n is f(., t_n) under "pointwise" and, under "average", the
+    5-point Gauss mean of f over the step; the empty step of node 0
+    (t_prev = t_n) gives f(., t_n) under both.  Returns (f_bar, samples),
+    samples being the (weight, f at that Gauss time) pairs of the step:
+    the ones the average was built from, or, under "pointwise", taken
+    only when with_samples is set.  f = None is f = 0, with no samples.
+    """
+    _check_forcing_mode(forcing_mode)
+    shape = pts.shape[:-1]
+    if f is None:
+        return np.zeros(shape), []
+
+    def at(t):
+        return np.broadcast_to(
+            np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float), shape
+        )
+
+    k = t_n - t_prev
+    average = forcing_mode == "average" and k > 0.0
+    samples = []
+    if average or with_samples:
+        samples = [(w, at(t_prev + tau * k)) for tau, w in zip(_TIME_PTS, _TIME_WTS)]
+    if not average:
+        return at(t_n), samples
+    return sum(w * fs for w, fs in samples), samples
+
+
 def load_vector(system, f, t_prev, t_n, forcing_mode):
-    """(f_bar^n, w_h): pointwise at t_n or the interval average."""
+    """(f_bar^n, w_h) of the step (t_prev, t_n]; see sample_forcing."""
     space = system.space
     if f is None:
         return np.zeros(space.n_disp)
-    if forcing_mode == "pointwise":
-        return assemble_load(space, f, t_n)
-    if forcing_mode != "average":
-        raise SolverError("forcing_mode must be 'pointwise' or 'average'")
-    k = t_n - t_prev
-    out = np.zeros(space.n_disp)
-    for tau, w in zip(_TIME_PTS, _TIME_WTS):
-        out += w * assemble_load(space, f, t_prev + tau * k)
-    return out
+    fbar, _ = sample_forcing(f, space.quad_points, t_prev, t_n, forcing_mode)
+    return load_of_values(space, fbar)
 
 
 def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
     """Run the fully discrete scheme over `grid`; returns a Trajectory."""
+    _check_forcing_mode(forcing_mode)
     space = system.space
     N = grid.num_steps
     U = np.zeros((N + 1, space.n_disp))
@@ -212,12 +261,12 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
     U[0] = l2_project_scalar(space, u0).coefficients
     dtU[0] = l2_project_scalar(space, u1).coefficients
     Sigma[0] = initial_stress(system, U[0])
-    f_bar[0] = load_vector(system, f, 0.0, 0.0, "pointwise")
-
+    for n in range(N + 1):
+        f_bar[n] = load_vector(system, f, *grid.interval(n), forcing_mode)
     for n in range(1, N + 1):
-        k = grid.steps[n - 1]
-        f_bar[n] = load_vector(system, f, grid.nodes[n - 1], grid.nodes[n], forcing_mode)
-        U[n], Sigma[n], dtU[n] = step(system, U[n - 1], dtU[n - 1], k, f_bar[n])
+        U[n], Sigma[n], dtU[n] = step(
+            system, U[n - 1], dtU[n - 1], grid.steps[n - 1], f_bar[n]
+        )
     return Trajectory(
         grid=grid,
         system=system,
@@ -240,7 +289,7 @@ def residual_functionals(traj, n):
     r1 = s.M_sigma @ traj.Sigma[n] - s.B.T @ traj.U[n]
     if n == 0:
         return r1, None
-    r2 = s.M_u @ traj.dt2U(n) + s.B @ traj.Sigma[n] - traj.f_bar[n]
+    r2 = s.M_u @ traj.d2U[n] + s.B @ traj.Sigma[n] - traj.f_bar[n]
     return r1, r2
 
 
@@ -256,23 +305,35 @@ def save_trajectory(traj, directory):
 
     Binary layout (little-endian): 8-byte magic ``MWSTATE1``, three
     int64 counts (n_disp, n_stress, node index), then the U, Sigma and
-    dtU coefficient blocks as float64.
+    dtU coefficient blocks as float64.  Each file is written beside its
+    final name and renamed into place.
     """
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "grid.csv"), "w") as fh:
-        fh.write("n,t_n,k_n\n")
-        for n, t in enumerate(traj.grid.nodes):
-            k = 0.0 if n == 0 else traj.grid.steps[n - 1]
-            fh.write("{},{:.17g},{:.17g}\n".format(n, t, k))
+    rows = ["n,t_n,k_n\n"]
+    for n, t in enumerate(traj.grid.nodes):
+        k = 0.0 if n == 0 else traj.grid.steps[n - 1]
+        rows.append("{},{:.17g},{:.17g}\n".format(n, t, k))
+    _write_replacing(os.path.join(directory, "grid.csv"), "".join(rows).encode())
     nd, ns = traj.space.n_disp, traj.space.n_stress
     for n in range(traj.grid.num_steps + 1):
-        path = os.path.join(directory, "state_{}.bin".format(n))
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<qqq", nd, ns, n))
-            fh.write(traj.U[n].astype("<f8").tobytes())
-            fh.write(traj.Sigma[n].astype("<f8").tobytes())
-            fh.write(traj.dtU[n].astype("<f8").tobytes())
+        blocks = [a[n].astype("<f8").tobytes() for a in (traj.U, traj.Sigma, traj.dtU)]
+        _write_replacing(
+            os.path.join(directory, "state_{}.bin".format(n)),
+            b"".join([_MAGIC, struct.pack("<qqq", nd, ns, n)] + blocks),
+        )
+
+
+def _write_replacing(path, data):
+    """Write `data` to a temporary file beside `path`, then rename it onto
+    `path`, so a failed write never leaves a short file under that name."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_exact(fh, size, path):

@@ -16,7 +16,7 @@ import sympy as sym
 from . import estimators as est
 from . import reconstruction as rec
 from . import solver
-from .assembly import Coefficient, assemble_load, assemble_system, disp_l2_norm
+from .assembly import Coefficient, assemble_system, disp_l2_norm
 from .mesh import unit_square_mesh
 from .spaces import MixedSpace
 
@@ -310,6 +310,8 @@ def run_spatial_study(
     """
     if len(mesh_levels) < 3:
         raise VerificationError("a study needs at least 3 levels")
+    if constants not in ("unit", "calibrated"):
+        raise VerificationError("constants policy must be 'unit' or 'calibrated'")
     T = problem.final_time if T is None else T
     hs, ks = [], []
     eu, es = [], []
@@ -476,13 +478,9 @@ def oracle_small_instance(problem=None, steps=3, rt_index=0, k=0.1):
     Msf = fs.M_sigma.toarray()
     Bf = fs.B.toarray()
     nsf = recon.enriched.fine.n_stress
-    a0 = solver.initial_acceleration(traj)
     for n in range(steps + 1):
-        dt2 = recon.enriched.P_disp @ (a0 if n == 0 else traj.dt2U(n))
-        if traj.f is None:
-            load = np.zeros(recon.enriched.fine.n_disp)
-        else:
-            load = assemble_load(recon.enriched.fine, traj.f, grid.nodes[n])
+        dt2 = recon.enriched.P_disp @ traj.d2U[n]
+        load = solver.load_vector(fs, traj.f, *grid.interval(n), traj.forcing_mode)
         rhs = np.concatenate([np.zeros(nsf), load - fs.M_u.toarray() @ dt2])
         K = np.block([[Msf, -Bf.T], [Bf, np.zeros((Bf.shape[0], Bf.shape[0]))]])
         sol = np.linalg.solve(K, rhs)

@@ -55,7 +55,7 @@ def test_e12_closed_form():
     space = traj.space
 
     def norm(j):
-        v = space.disp_field(traj.dt2U(j)).at_quad()
+        v = space.disp_field(traj.d2U[j]).at_quad()
         return float(np.sqrt(np.einsum("tq,tq->", space.quad_weights, v ** 2)))
 
     expected = np.cumsum([1.5 * k[j - 1] * norm(j) for j in range(1, 5)])
@@ -79,6 +79,19 @@ def test_forcing_defect_positive_for_time_dependent_f():
     te = est.temporal_estimate(traj)
     assert te.e14[-1] > 0.0
     assert te.e24[-1] > 0.0
+
+
+@pytest.mark.parametrize("mode, per_step", [("average", 5), ("pointwise", 6)])
+def test_temporal_estimate_samples_f_once_per_time(mode, per_step):
+    # f at t = 0 for node 0, then per step the five Gauss times of the
+    # forcing defect, which under "average" also build f_bar^j, and t_j
+    # under "pointwise"
+    f = lambda x, y, t: np.cos(5 * t) * (x + y)
+    traj = _traj(N=8, T=0.4, f=f, forcing_mode=mode)
+    times = []
+    traj.f = lambda x, y, t: times.append(t) or f(x, y, t)
+    est.temporal_estimate(traj)
+    assert len(times) == 1 + per_step * 8
 
 
 def test_temporal_accumulators_nondecreasing():

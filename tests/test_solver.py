@@ -86,6 +86,29 @@ def test_initial_acceleration_solves_discrete_equation():
     assert np.abs(r).max() < 1e-11
 
 
+def test_second_differences_start_from_the_initial_acceleration():
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space)
+    f = lambda x, y, t: (1.0 + x + t) * np.ones_like(x)
+    u0, u1 = _standing_data()
+    grid = solver.TimeGrid(np.array([0.0, 0.05, 0.15, 0.2, 0.3]))
+    traj = solver.run(system, f, u0, u1, grid)
+    assert traj.d2U.shape == traj.dtU.shape
+    np.testing.assert_array_equal(traj.d2U[0], solver.initial_acceleration(traj))
+    for n in range(1, 5):
+        np.testing.assert_array_equal(
+            traj.d2U[n], (traj.dtU[n] - traj.dtU[n - 1]) / grid.steps[n - 1]
+        )
+
+
+def test_run_rejects_unknown_forcing_mode_without_forcing():
+    space = MixedSpace(unit_square_mesh(2), 0)
+    system = assemble_system(space)
+    u0, u1 = _standing_data()
+    with pytest.raises(solver.SolverError, match="forcing_mode"):
+        solver.run(system, None, u0, u1, solver.uniform_grid(0.2, 2), forcing_mode="avg")
+
+
 def test_energy_nonincreasing_without_forcing():
     u0, u1 = _standing_data()
     space = MixedSpace(unit_square_mesh(4), 0)
@@ -134,6 +157,50 @@ def test_truncated_state_file_raises(tmp_path):
         fh.write(bytes(16))
     with pytest.raises(solver.SolverError, match="trailing"):
         solver.load_states(out)
+
+
+def test_interrupted_save_leaves_no_short_state_file(tmp_path, monkeypatch):
+    u0, u1 = _standing_data()
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space)
+    traj = solver.run(system, None, u0, u1, solver.uniform_grid(0.3, 3))
+    out = tmp_path / "out"
+    solver.save_trajectory(traj, out)
+    size = (out / "state_0.bin").stat().st_size
+
+    class HalfWriter:
+        """Writes half of the first block it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    opened = []
+
+    def open_failing_third(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        opened.append(path)
+        return HalfWriter(fh) if len(opened) == 3 else fh
+
+    # the third file written is state_1.bin
+    monkeypatch.setattr(solver, "open", open_failing_third, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        solver.save_trajectory(traj, out)
+    monkeypatch.undo()
+    names = ["grid.csv"] + ["state_{}.bin".format(n) for n in range(4)]
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert all((out / name).stat().st_size == size for name in names[1:])
+    _, U, _, _ = solver.load_states(out)
+    assert np.array_equal(U, traj.U)
 
 
 def test_one_factorization_per_nominal_step():

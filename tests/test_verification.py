@@ -71,6 +71,11 @@ def test_spatial_study_requires_three_levels():
         ver.run_spatial_study(ver.standing_wave(), mesh_levels=(4, 8))
 
 
+def test_spatial_study_rejects_unknown_constants():
+    with pytest.raises(ver.VerificationError, match="constants"):
+        ver.run_spatial_study(ver.standing_wave(), mesh_levels=(2, 3, 4), constants="bogus")
+
+
 def test_temporal_study_rejects_indivisible_reference():
     with pytest.raises(ver.VerificationError):
         ver.run_temporal_study(
