@@ -222,14 +222,19 @@ def reconstruct_elliptic(fine_system, rhs_disp):
     Finds (sigma_t, u_t) with (alpha sigma_t, v) - (u_t, div v) = 0 and
     (div sigma_t, w) = (rhs_disp, w) for all enriched test functions;
     `rhs_disp` is already a load vector over the enriched displacement
-    basis.  Returns (u_t, sigma_t) coefficient vectors.
+    basis, or an (m, n_disp) stack of them, solved together in one
+    multi-right-hand-side solve.  Returns (u_t, sigma_t) coefficient
+    vectors, stacked in rows like `rhs_disp`.
     """
     lu = _elliptic_factor(fine_system)
     n_s = fine_system.space.n_stress
-    sol = lu.solve(np.concatenate([np.zeros(n_s), rhs_disp]))
+    rhs_disp = np.asarray(rhs_disp, dtype=float)
+    rhs = np.zeros((n_s + rhs_disp.shape[-1],) + rhs_disp.shape[:-1], order="F")
+    rhs[n_s:] = rhs_disp.T
+    sol = lu.solve(rhs).T
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("reconstruction solve produced non-finite values")
-    return sol[n_s:], sol[:n_s]
+    return sol[..., n_s:], sol[..., :n_s]
 
 
 @dataclass
@@ -259,24 +264,22 @@ def reconstruct_trajectory(traj, enriched=None, levels=1):
     The right-hand side at node n is f_bar^n - d2U^n, with d2U^n
     transferred to the enriched space and f_bar^n sampled as the run
     sampled it; node 0 takes the discrete initial acceleration
-    (Trajectory.d2U) and f at t = 0.  The initial reconstruction rates
-    are one-sided differences of the node reconstructions.
+    (Trajectory.d2U) and f at t = 0.  The N+1 right-hand sides are
+    solved together in one multi-right-hand-side solve.  The initial
+    reconstruction rates are one-sided differences of the node
+    reconstructions.
     """
     space = traj.space
     if enriched is None:
         enriched = enrich_space(space, levels)
-    fine = enriched.fine
-    fine_system = assemble_system(fine, traj.system.coefficient)
+    fine_system = assemble_system(enriched.fine, traj.system.coefficient)
 
-    N = traj.grid.num_steps
-    u_t = np.zeros((N + 1, fine.n_disp))
-    s_t = np.zeros((N + 1, fine.n_stress))
-    for n in range(N + 1):
-        load = load_vector(
-            fine_system, traj.f, *traj.grid.interval(n), traj.forcing_mode
-        )
-        rhs = load - fine_system.M_u @ (enriched.P_disp @ traj.d2U[n])
-        u_t[n], s_t[n] = reconstruct_elliptic(fine_system, rhs)
+    loads = np.stack([
+        load_vector(fine_system, traj.f, *traj.grid.interval(n), traj.forcing_mode)
+        for n in range(traj.grid.num_steps + 1)
+    ])
+    d2U_fine = fine_system.M_u @ (enriched.P_disp @ traj.d2U.T)
+    u_t, s_t = reconstruct_elliptic(fine_system, loads - d2U_fine.T)
 
     k1 = traj.grid.steps[0]
     c1_u = c1_build(traj.grid, u_t, (u_t[1] - u_t[0]) / k1)

@@ -134,7 +134,6 @@ class Trajectory:
 
 
 def _saddle_matrix(system, k):
-    n_s = system.space.n_stress
     K = sp.bmat(
         [
             [system.M_sigma, -system.B.T],

@@ -148,7 +148,7 @@ class MixedSpace:
     def _build_nodal_basis(self):
         mesh, l = self.mesh, self.rt_index
         T = mesh.num_cells
-        nl, nm = self.n_loc_stress, len(self.exponents)
+        nl = self.n_loc_stress
         modal, modal_div = _modal_fields(l)
         n_modal = len(modal)
 
@@ -164,7 +164,7 @@ class MixedSpace:
             pts = a[:, None, :] + tq[None, :, None] * (b - a)[:, None, :]
             w = mesh.h_edge[e, None] * tw[None, :]  # (T, nq)
             loc = self._local_coords(np.arange(T), pts)
-            mono = _monomials(self.exponents, loc)  # (T, nq, nm)
+            mono = _monomials(self.exponents, loc)  # (T, nq, n_mono)
             vals = np.einsum("mcs,tqs->tqmc", modal, mono)  # (T, nq, n_modal, 2)
             vn = np.einsum("tqmc,tc->tqm", vals, normals[e])
             for i in range(l + 1):
@@ -181,7 +181,7 @@ class MixedSpace:
             D[:, 7, :] = np.einsum("tq,tqm->tm", w, vals[..., 1])
 
         C = np.linalg.inv(D)  # nodal_k = sum_j C[t, j, k] modal_j
-        self.stress_coeff = np.einsum("tjk,jcs->tkcs", C, modal)  # (T, nl, 2, nm)
+        self.stress_coeff = np.einsum("tjk,jcs->tkcs", C, modal)  # (T, nl, 2, n_mono)
         h = mesh.h_cell
         self.stress_div_coeff = (
             np.einsum("tjk,js->tks", C, modal_div) / h[:, None, None]

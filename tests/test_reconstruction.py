@@ -160,6 +160,19 @@ def test_zero_data_reconstruction_is_zero():
     assert np.abs(s).max() == 0.0
 
 
+@pytest.mark.parametrize("l", [0, 1])
+def test_stacked_right_hand_sides_match_single_solves(l):
+    space = MixedSpace(unit_square_mesh(3), l)
+    system = assemble_system(space)
+    rhs = np.random.default_rng(3).standard_normal((5, space.n_disp))
+    u, s = rec.reconstruct_elliptic(system, rhs)
+    assert u.shape == (5, space.n_disp) and s.shape == (5, space.n_stress)
+    for row in range(5):
+        u1, s1 = rec.reconstruct_elliptic(system, rhs[row])
+        np.testing.assert_allclose(u[row], u1, rtol=1e-12, atol=1e-12 * np.abs(u1).max())
+        np.testing.assert_allclose(s[row], s1, rtol=1e-12, atol=1e-12 * np.abs(s1).max())
+
+
 def test_galerkin_orthogonality_enriched():
     for l in (0, 1):
         traj = _standing_traj(l=l)

@@ -34,6 +34,44 @@ def test_standing_wave_has_no_forcing():
     assert ver.variable_coefficient().f is not None
 
 
+def _random_points(n=200, seed=11):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, n), rng.uniform(0, 1, n), rng.uniform(0, 0.5, n)
+
+
+def test_forced_oscillation_forcing_closed_form():
+    x, y, t = _random_points()
+    S = np.sin(np.pi * x) * np.sin(np.pi * y)
+    expected = (2 * np.pi ** 2 - 400) * S * np.cos(20 * t)
+    got = ver.forced_oscillation().f(x, y, t)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+
+
+def test_variable_coefficient_forcing_closed_form():
+    # A = diag(1 + x/2, 1 + y/2): f = pi/2 (pi x S + pi y S - sin pi(x + y)) cos(sqrt2 pi t)
+    x, y, t = _random_points()
+    S = np.sin(np.pi * x) * np.sin(np.pi * y)
+    expected = (
+        np.pi / 2
+        * (np.pi * x * S + np.pi * y * S - np.sin(np.pi * (x + y)))
+        * np.cos(np.sqrt(2) * np.pi * t)
+    )
+    got = ver.variable_coefficient().f(x, y, t)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+
+
+def test_registration_does_not_simplify(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.simplify called during registration")
+
+    monkeypatch.setattr(sym, "simplify", refuse)
+    for name, factory in ver.PROBLEMS.items():
+        p = factory()
+        assert p.name == name
+        assert p.self_check() < 1e-10
+    assert ver.standing_wave().f is None
+
+
 def test_true_error_zero_for_projected_exact_data():
     # evaluate the error of the projected initial data at t = 0 only:
     # the projections are the best approximations, errors are O(h) small
