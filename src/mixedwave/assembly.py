@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .spaces import MixedSpace, StressField, _eval_scalar
+from .spaces import MixedSpace, StressField, _cell_rows, _eval_scalar, _scatter
 
 
 class AssemblyError(Exception):
@@ -88,14 +88,6 @@ class SaddleSystem:
     _factor_cache: dict = field(default_factory=dict, repr=False)
 
 
-def _scatter(rows, cols, vals, shape):
-    m = sp.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape
-    ).tocsr()
-    m.sum_duplicates()
-    return m
-
-
 def assemble_system(space, A=None):
     """Assemble M_sigma, B and M_u for coefficient A (identity default)."""
     coeff = as_coefficient(A)
@@ -142,10 +134,14 @@ def assemble_load(space, f):
 
 
 def load_of_values(space, vals):
-    """Load vector (f, w_h) from samples of f at the quadrature, shape (T, nq)."""
-    loc = np.einsum("tq,tq,tqa->ta", space.quad_weights, vals, space.disp_at_quad)
-    out = np.zeros(space.n_disp)
-    np.add.at(out, space.cell_disp_dofs, loc)
+    """Load vectors (f, w_h) from samples of f at the quadrature.
+
+    vals has shape (..., T, nq); returns one row per leading index,
+    shape (..., n_disp), all from one contraction.
+    """
+    loc = np.einsum("tq,...tq,tqa->...ta", space.quad_weights, vals, space.disp_at_quad)
+    out = np.zeros(vals.shape[:-2] + (space.n_disp,))
+    out[..., space.cell_disp_dofs] = loc
     return out
 
 
@@ -193,17 +189,6 @@ def estimator_operators(space, coeff):
     if ops is None:
         ops = space.operator_cache[coeff] = _build_estimator_operators(space, coeff)
     return ops
-
-
-def _cell_rows(loc, dofs, n_cols):
-    """CSR matrix of per-cell blocks: row i of loc (T, ..., nl) acts on dofs (T, nl)."""
-    n_rows = loc[..., 0].size
-    cols = np.broadcast_to(
-        dofs.reshape((len(dofs),) + (1,) * (loc.ndim - 2) + dofs.shape[1:]), loc.shape
-    )
-    return _scatter(
-        np.repeat(np.arange(n_rows), loc.shape[-1]), cols, loc, (n_rows, n_cols)
-    )
 
 
 def _build_estimator_operators(space, coeff):

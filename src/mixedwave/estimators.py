@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import solver
 from .assembly import (
     as_coefficient,
     curl_elementwise,
@@ -114,11 +115,16 @@ def spatial_estimate(space, sigma_coeffs, r2_values, displacement, A=None):
 # ----------------------------------------------------------------------
 
 def r2_strong_values(traj, n):
-    """Strong residual r_2^n = d2U^n + div Sigma^n - f_bar^n at quadrature."""
+    """Strong residual r_2^n = d2U^n + div Sigma^n - f_bar^n at quadrature.
+
+    f_bar^n is the run's own sample (Trajectory.fbar_quad); f is not called.
+    """
     space = traj.space
     dt2 = space.disp_field(traj.d2U[n]).at_quad()
-    div = space.stress_field(traj.Sigma[n]).div_at_quad()
-    return dt2 + div - traj.fbar_at(space.quad_points, n)[0]
+    r2 = dt2 + space.stress_field(traj.Sigma[n]).div_at_quad()
+    if traj.fbar_quad is not None:
+        r2 -= traj.fbar_quad[n]
+    return r2
 
 
 # ----------------------------------------------------------------------
@@ -157,20 +163,36 @@ def temporal_estimate(traj):
     mesh-change part of the second family; both are identically zero on
     the fixed meshes this solver runs.  The data (r_2^j - div Sigma^j)
     is evaluated as d2U^j - f_bar^j, its algebraically identical strong
-    form on a fixed mesh.  The forcing defect int_{I_j} ||f_bar^j - f||
-    is a 5-point Gauss rule in time on the samples that built f_bar^j.
+    form on a fixed mesh, with f_bar^j read from the run
+    (Trajectory.fbar_quad).  The forcing defect int_{I_j} ||f_bar^j - f||
+    is a 5-point Gauss rule in time: under "average" the run kept it
+    from the samples that built f_bar^j (Trajectory.forcing_defect), so
+    f is not called; under "pointwise" f is sampled here at the five
+    Gauss times of each step.
     """
     space = traj.space
-    pts = space.quad_points
     grid = traj.grid
     N = grid.num_steps
     k = grid.steps
+    fbar = traj.fbar_quad
+    defect = traj.forcing_defect
+    if fbar is None:  # f = 0
+        fbar = np.zeros((N + 1, 1, 1))
+        defect = np.zeros(N + 1)
+    elif defect is None:  # "pointwise"
+        defect = np.zeros(N + 1)
+        for j in range(1, N + 1):
+            t_prev, t_j = grid.interval(j)
+            samples = solver.gauss_samples(traj.f, space.quad_points, t_prev, t_j)
+            defect[j] = solver.step_defect(space, k[j - 1], fbar[j], samples)
 
     names = ("e11", "e12", "e13", "e14", "e21", "e22", "e23", "e24")
     acc = {name: np.zeros(N + 1) for name in names}
+    acc["e14"][1:] = defect[1:]
+    acc["e24"][1:] = k * defect[1:]
 
     # D^j: samples of (r_2^j - div Sigma^j) = d2U^j - f_bar^j
-    D_prev = space.disp_field(traj.d2U[0]).at_quad() - traj.fbar_at(pts, 0)[0]
+    D_prev = space.disp_field(traj.d2U[0]).at_quad() - fbar[0]
     dtD_prev = None
     inner_sum = 0.0  # running sum of the k^2/2, k^3/12 addends
     for j in range(1, N + 1):
@@ -182,8 +204,7 @@ def temporal_estimate(traj):
         acc["e12"][j] = 1.5 * kj * dt2_norm
         acc["e22"][j] = kj ** 2 * dt2_norm
 
-        fbar, samples = traj.fbar_at(pts, j, with_samples=True)
-        D_j = dt2 - fbar
+        D_j = dt2 - fbar[j]
         dtD = (D_j - D_prev) / kj
         addend = 0.5 * kj ** 2 * disp_l2_norm(space, dtD)
         if dtD_prev is not None:
@@ -193,10 +214,6 @@ def temporal_estimate(traj):
         acc["e23"][j] = kj * inner_sum
         inner_sum += addend
         D_prev, dtD_prev = D_j, dtD
-
-        fd = sum(w * kj * disp_l2_norm(space, fbar - fs) for w, fs in samples)
-        acc["e14"][j] = fd
-        acc["e24"][j] = kj * fd
 
     return TemporalEstimate(
         grid=grid, **{name: np.cumsum(acc[name]) for name in names}

@@ -14,7 +14,7 @@ class MeshError(Exception):
 
 
 class NonConformingError(MeshError):
-    """Hanging vertex or over-shared edge detected."""
+    """Hanging vertex, over-shared edge, vertex of no cell or bad topology."""
 
 
 class DegenerateCellError(MeshError):
@@ -105,18 +105,26 @@ def _signed_areas(vertices, cells):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _check_hanging_vertices(vertices, edges, h_edge):
-    """Raise if any vertex lies strictly inside an edge."""
-    a = vertices[edges[:, 0]]
-    b = vertices[edges[:, 1]]
-    d = b - a
+def _check_hanging_vertices(vertices, edges, boundary_edge):
+    """Raise if any vertex lies strictly inside an edge.
+
+    In a mesh whose cells do not overlap, an edge with a vertex inside
+    it has a cell on one side only, and that vertex lies on a boundary
+    edge too; so only boundary-edge vertices are tested, against
+    boundary edges.
+    """
+    bnd = np.flatnonzero(boundary_edge)
+    cand = np.unique(edges[bnd])
+    pts = vertices[cand]
+    a = vertices[edges[bnd, 0]]
+    d = vertices[edges[bnd, 1]] - a
     tol = 1e-12
     # chunk over edges to keep memory bounded
-    chunk = max(1, 10_000_000 // max(1, len(vertices)))
-    for s in range(0, len(edges), chunk):
+    chunk = max(1, 10_000_000 // max(1, len(cand)))
+    for s in range(0, len(bnd), chunk):
         ae, de = a[s : s + chunk], d[s : s + chunk]
         le2 = (de * de).sum(axis=1)
-        rel = vertices[None, :, :] - ae[:, None, :]
+        rel = pts[None, :, :] - ae[:, None, :]
         t = (rel * de[:, None, :]).sum(axis=2) / le2[:, None]
         perp = np.abs(rel[:, :, 0] * de[:, None, 1] - rel[:, :, 1] * de[:, None, 0])
         le = np.sqrt(le2)
@@ -125,7 +133,7 @@ def _check_hanging_vertices(vertices, edges, h_edge):
         if np.any(on_line & strictly_inside):
             ei, vi = np.argwhere(on_line & strictly_inside)[0]
             raise NonConformingError(
-                "vertex {} hangs on edge {}".format(vi, s + ei)
+                "vertex {} hangs on edge {}".format(cand[vi], bnd[s + ei])
             )
 
 
@@ -145,6 +153,11 @@ def build_mesh(vertices, cell_list, check_hanging=True):
         raise MeshError("cells must be an (T, 3) array")
     if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(vertices):
         raise IndexOutOfRangeError("cell vertex index out of range")
+    orphans = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(vertices)) == 0)
+    if len(orphans):
+        raise NonConformingError(
+            "vertex {} belongs to no cell".format(int(orphans[0]))
+        )
 
     areas = _signed_areas(vertices, cells)
     flip = areas < 0
@@ -186,7 +199,7 @@ def build_mesh(vertices, cell_list, check_hanging=True):
     h_cell = h_edge[cell_edges].max(axis=1)
 
     if check_hanging:
-        _check_hanging_vertices(vertices, edges, h_edge)
+        _check_hanging_vertices(vertices, edges, boundary_edge)
 
     euler = len(vertices) - len(edges) + len(cells)
     if euler != 1:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .assembly import SaddleSystem, load_of_values
+from .assembly import SaddleSystem, disp_l2_norm, load_of_values
 from .spaces import l2_project_scalar
 
 # 5-point Gauss rule used for all time integrals
@@ -87,7 +87,13 @@ class Trajectory:
 
     U, Sigma, dtU hold one coefficient row per time node; f_bar holds the
     load vectors (f_bar^n, w_h) actually used (row 0 is the load at t=0).
-    forcing_mode is "pointwise" or "average" (see sample_forcing).
+    forcing_mode is "pointwise" or "average" (see sample_forcing).  The
+    run keeps the forcing data every estimator reads, so none samples
+    f_bar^n again: fbar_quad holds f_bar^n at space.quad_points, shape
+    (N+1, T, nq), and, under "average", forcing_defect holds the step
+    integrals int_{I_n} ||f_bar^n - f|| of the 5-point Gauss rule on the
+    samples that built f_bar^n (entry 0 is zero).  Both are None when
+    f is None; forcing_defect is None under "pointwise" too.
     """
 
     grid: TimeGrid
@@ -98,6 +104,8 @@ class Trajectory:
     f_bar: np.ndarray
     forcing_mode: str = "pointwise"
     f: object = field(default=None, repr=False)
+    fbar_quad: np.ndarray = field(default=None, repr=False)
+    forcing_defect: np.ndarray = None
 
     @property
     def space(self):
@@ -117,12 +125,6 @@ class Trajectory:
         d2[0] = initial_acceleration(self)
         d2[1:] = np.diff(self.dtU, axis=0) / self.grid.steps[:, None]
         return d2
-
-    def fbar_at(self, pts, n, with_samples=False):
-        """sample_forcing of this run's f and mode on step n (node 0: t = 0)."""
-        return sample_forcing(
-            self.f, pts, *self.grid.interval(n), self.forcing_mode, with_samples
-        )
 
     def energy(self, n):
         """Discrete energy ||dtU^n||^2 + ||Sigma^n||^2_{A^-1}."""
@@ -208,34 +210,42 @@ def _check_forcing_mode(forcing_mode):
         raise SolverError("forcing_mode must be 'pointwise' or 'average'")
 
 
-def sample_forcing(f, pts, t_prev, t_n, forcing_mode, with_samples=False):
+def _sample(f, pts, shape, t):
+    return np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float), shape)
+
+
+def gauss_samples(f, pts, t_prev, t_n):
+    """(weight, f at that time) at the 5 Gauss times of (t_prev, t_n]."""
+    shape = pts.shape[:-1]
+    k = t_n - t_prev
+    return [
+        (w, _sample(f, pts, shape, t_prev + tau * k))
+        for tau, w in zip(_TIME_PTS, _TIME_WTS)
+    ]
+
+
+def sample_forcing(f, pts, t_prev, t_n, forcing_mode):
     """f_bar^n of the step (t_prev, t_n] at the points `pts` (..., 2).
 
     f_bar^n is f(., t_n) under "pointwise" and, under "average", the
     5-point Gauss mean of f over the step; the empty step of node 0
     (t_prev = t_n) gives f(., t_n) under both.  Returns (f_bar, samples),
-    samples being the (weight, f at that Gauss time) pairs of the step:
-    the ones the average was built from, or, under "pointwise", taken
-    only when with_samples is set.  f = None is f = 0, with no samples.
+    samples being the gauss_samples the average was built from (none
+    under "pointwise" or on node 0).  f = None is f = 0, with no samples.
     """
     _check_forcing_mode(forcing_mode)
     shape = pts.shape[:-1]
     if f is None:
         return np.zeros(shape), []
-
-    def at(t):
-        return np.broadcast_to(
-            np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float), shape
-        )
-
-    k = t_n - t_prev
-    average = forcing_mode == "average" and k > 0.0
-    samples = []
-    if average or with_samples:
-        samples = [(w, at(t_prev + tau * k)) for tau, w in zip(_TIME_PTS, _TIME_WTS)]
-    if not average:
-        return at(t_n), samples
+    if forcing_mode == "pointwise" or t_n == t_prev:
+        return _sample(f, pts, shape, t_n), []
+    samples = gauss_samples(f, pts, t_prev, t_n)
     return sum(w * fs for w, fs in samples), samples
+
+
+def step_defect(space, k, fbar, samples):
+    """int_{I_n} ||f_bar^n - f||: the Gauss rule in time on `samples`."""
+    return sum(w * k * disp_l2_norm(space, fbar - fs) for w, fs in samples)
 
 
 def load_vector(system, f, t_prev, t_n, forcing_mode):
@@ -248,20 +258,35 @@ def load_vector(system, f, t_prev, t_n, forcing_mode):
 
 
 def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
-    """Run the fully discrete scheme over `grid`; returns a Trajectory."""
+    """Run the fully discrete scheme over `grid`; returns a Trajectory.
+
+    f_bar^n is sampled once per node at the space quadrature (see
+    Trajectory for what the run keeps of it).
+    """
     _check_forcing_mode(forcing_mode)
     space = system.space
     N = grid.num_steps
     U = np.zeros((N + 1, space.n_disp))
     Sigma = np.zeros((N + 1, space.n_stress))
     dtU = np.zeros((N + 1, space.n_disp))
-    f_bar = np.zeros((N + 1, space.n_disp))
 
     U[0] = l2_project_scalar(space, u0).coefficients
     dtU[0] = l2_project_scalar(space, u1).coefficients
     Sigma[0] = initial_stress(system, U[0])
-    for n in range(N + 1):
-        f_bar[n] = load_vector(system, f, *grid.interval(n), forcing_mode)
+    fbar_quad = defect = None
+    if f is None:
+        f_bar = np.zeros((N + 1, space.n_disp))
+    else:
+        fbar_quad = np.empty((N + 1,) + space.quad_weights.shape)
+        if forcing_mode == "average":
+            defect = np.zeros(N + 1)
+        for n in range(N + 1):
+            fbar_quad[n], samples = sample_forcing(
+                f, space.quad_points, *grid.interval(n), forcing_mode
+            )
+            if samples:
+                defect[n] = step_defect(space, grid.steps[n - 1], fbar_quad[n], samples)
+        f_bar = load_of_values(space, fbar_quad)
     for n in range(1, N + 1):
         U[n], Sigma[n], dtU[n] = step(
             system, U[n - 1], dtU[n - 1], grid.steps[n - 1], f_bar[n]
@@ -275,6 +300,8 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
         f_bar=f_bar,
         forcing_mode=forcing_mode,
         f=f,
+        fbar_quad=fbar_quad,
+        forcing_defect=defect,
     )
 
 

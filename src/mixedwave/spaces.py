@@ -14,8 +14,10 @@ construction spans the same space as the Piola-mapped reference basis.
 """
 
 import weakref
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import quadrature
 from .mesh import Mesh
@@ -81,12 +83,32 @@ def _monomials(exponents, pts_local):
     return np.stack(cols, axis=-1)
 
 
+def _scatter(rows, cols, vals, shape):
+    m = sp.coo_matrix(
+        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape
+    ).tocsr()
+    m.sum_duplicates()
+    return m
+
+
+def _cell_rows(loc, dofs, n_cols):
+    """CSR matrix of per-cell blocks: row i of loc (T, ..., nl) acts on dofs (T, nl)."""
+    n_rows = loc[..., 0].size
+    cols = np.broadcast_to(
+        dofs.reshape((len(dofs),) + (1,) * (loc.ndim - 2) + dofs.shape[1:]), loc.shape
+    )
+    return _scatter(
+        np.repeat(np.arange(n_rows), loc.shape[-1]), cols, loc, (n_rows, n_cols)
+    )
+
+
 class MixedSpace:
     """Paired RT_l / discontinuous P_l degree-of-freedom maps on a mesh.
 
     Immutable after construction, except for `operator_cache`, where
     assembly.estimator_operators keeps the estimator operators of each
-    Coefficient used on this space; all evaluation methods are pure.
+    Coefficient used on this space, and the quadrature maps, built on
+    first use; all evaluation methods are pure.
     """
 
     def __init__(self, mesh: Mesh, rt_index: int, cell_degree=None, edge_degree=None):
@@ -198,6 +220,21 @@ class MixedSpace:
         self.div_at_quad = self.eval_div_basis(all_cells, pts)
         self.disp_at_quad = self.eval_disp_basis(all_cells, pts)
 
+    # Sparse maps from global coefficients to values at the cell
+    # quadrature, rows in (cell, point[, component]) order.
+    @cached_property
+    def stress_quad_map(self):
+        loc = np.swapaxes(self.stress_at_quad, -1, -2)  # (T, nq, 2, nl)
+        return _cell_rows(loc, self.cell_stress_dofs, self.n_stress)
+
+    @cached_property
+    def div_quad_map(self):
+        return _cell_rows(self.div_at_quad, self.cell_stress_dofs, self.n_stress)
+
+    @cached_property
+    def disp_quad_map(self):
+        return _cell_rows(self.disp_at_quad, self.cell_disp_dofs, self.n_disp)
+
     # ------------------------------------------------------------------
     # basis evaluation
     # ------------------------------------------------------------------
@@ -268,14 +305,13 @@ class StressField:
 
     def at_quad(self):
         """Values at the space's default cell quadrature: (T, nq, 2)."""
-        return np.einsum(
-            "tk,tqkc->tqc", self.local_coefficients(), self.space.stress_at_quad
-        )
+        space = self.space
+        values = space.stress_quad_map @ self.coefficients
+        return values.reshape(space.quad_points.shape)
 
     def div_at_quad(self):
-        return np.einsum(
-            "tk,tqk->tq", self.local_coefficients(), self.space.div_at_quad
-        )
+        space = self.space
+        return (space.div_quad_map @ self.coefficients).reshape(space.quad_weights.shape)
 
     def eval(self, cells, pts):
         basis = self.space.eval_stress_basis(cells, pts)
@@ -298,9 +334,8 @@ class DispField:
         return self.coefficients[dofs]
 
     def at_quad(self):
-        return np.einsum(
-            "ta,tqa->tq", self.local_coefficients(), self.space.disp_at_quad
-        )
+        space = self.space
+        return (space.disp_quad_map @ self.coefficients).reshape(space.quad_weights.shape)
 
     def eval(self, cells, pts):
         basis = self.space.eval_disp_basis(cells, pts)

@@ -81,17 +81,20 @@ def test_forcing_defect_positive_for_time_dependent_f():
     assert te.e24[-1] > 0.0
 
 
-@pytest.mark.parametrize("mode, per_step", [("average", 5), ("pointwise", 6)])
+@pytest.mark.parametrize("mode, per_step", [("average", 0), ("pointwise", 5)])
 def test_temporal_estimate_samples_f_once_per_time(mode, per_step):
-    # f at t = 0 for node 0, then per step the five Gauss times of the
-    # forcing defect, which under "average" also build f_bar^j, and t_j
-    # under "pointwise"
+    # f_bar^j and, under "average", the forcing defect come from the run;
+    # under "pointwise" the defect samples the five Gauss times of each
+    # step.  The strong residual reads the run's f_bar^j and calls no f.
     f = lambda x, y, t: np.cos(5 * t) * (x + y)
     traj = _traj(N=8, T=0.4, f=f, forcing_mode=mode)
     times = []
     traj.f = lambda x, y, t: times.append(t) or f(x, y, t)
     est.temporal_estimate(traj)
-    assert len(times) == 1 + per_step * 8
+    assert len(times) == per_step * 8
+    for n in range(9):
+        est.r2_strong_values(traj, n)
+    assert len(times) == per_step * 8
 
 
 def test_temporal_accumulators_nondecreasing():

@@ -84,6 +84,32 @@ def test_hanging_vertex_rejected():
         msh.build_mesh(vertices, cells)
 
 
+def test_hanging_vertex_inside_the_domain_rejected():
+    # one cell of a 4 x 4 grid, all of whose edges are interior, split
+    # into four at its edge midpoints, its neighbours left as they are:
+    # the midpoints hang on edges inside the square
+    base = msh.unit_square_mesh(4)
+    a, b, c = base.cells[10]
+    mids = 0.5 * (base.vertices[[b, c, a]] + base.vertices[[c, a, b]])
+    ma, mb, mc = base.num_vertices + np.arange(3)
+    kids = [[a, mc, mb], [b, ma, mc], [c, mb, ma], [ma, mb, mc]]
+    cells = np.vstack([np.delete(base.cells, 10, axis=0), kids])
+    with pytest.raises(msh.NonConformingError, match="hangs"):
+        msh.build_mesh(np.vstack([base.vertices, mids]), cells)
+
+
+def test_orphan_vertex_rejected():
+    # an 8 x 8 grid with its four centre squares removed leaves the
+    # centre vertex in no cell; V - E + T = 1 still holds by accident
+    m = msh.unit_square_mesh(8)
+    centre = m.vertices[m.cells].mean(axis=1)
+    hole = np.all(np.abs(centre - 0.5) < 0.125, axis=1)
+    assert hole.sum() == 8
+    cells = m.cells[~hole]
+    with pytest.raises(msh.NonConformingError, match="vertex 40 belongs to no cell"):
+        msh.build_mesh(m.vertices, cells)
+
+
 def test_overshared_edge_rejected():
     vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]
     cells = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from mixedwave import solver
-from mixedwave.assembly import assemble_system
+from mixedwave import quadrature, solver
+from mixedwave.assembly import assemble_system, load_of_values
 from mixedwave.mesh import two_triangle_square, unit_square_mesh
 from mixedwave.spaces import MixedSpace
 
@@ -39,6 +39,7 @@ def test_zero_data_stays_zero():
     traj = solver.run(system, None, z, z, solver.uniform_grid(0.5, 5))
     assert np.abs(traj.U).max() == 0.0
     assert np.abs(traj.Sigma).max() == 0.0
+    assert traj.fbar_quad is None and traj.forcing_defect is None
 
 
 def test_discrete_residuals_vanish():
@@ -99,6 +100,44 @@ def test_second_differences_start_from_the_initial_acceleration():
         np.testing.assert_array_equal(
             traj.d2U[n], (traj.dtU[n] - traj.dtU[n - 1]) / grid.steps[n - 1]
         )
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "average"])
+def test_run_keeps_the_forcing_it_sampled(mode):
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space)
+    f = lambda x, y, t: np.cos(20 * t) * np.sin(np.pi * x) * (1.0 + y)
+    u0, u1 = _standing_data()
+    grid = solver.TimeGrid(np.array([0.0, 0.05, 0.15, 0.2, 0.3]))
+    traj = solver.run(system, f, u0, u1, grid, forcing_mode=mode)
+    pts, w = space.quad_points, space.quad_weights
+    assert traj.fbar_quad.shape == (5,) + w.shape
+    for n in range(5):
+        fbar, _ = solver.sample_forcing(f, pts, *grid.interval(n), mode)
+        np.testing.assert_array_equal(traj.fbar_quad[n], fbar)
+        # load vector oracle: per-cell integrals against the local basis
+        ref = np.zeros(space.n_disp)
+        np.add.at(
+            ref, space.cell_disp_dofs,
+            np.einsum("tq,tq,tqa->ta", w, fbar, space.disp_at_quad),
+        )
+        for load in (traj.f_bar[n], load_of_values(space, fbar)):
+            assert np.abs(load - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    if mode == "pointwise":
+        assert traj.forcing_defect is None
+        return
+    tau, wts = quadrature.segment_rule(9)
+    expected = [0.0]
+    for n in range(1, 5):
+        t0, t1 = grid.interval(n)
+        k = t1 - t0
+        g = [f(pts[..., 0], pts[..., 1], t0 + s * k) for s in tau]
+        mean = sum(wj * gj for wj, gj in zip(wts, g))
+        expected.append(sum(
+            wj * k * np.sqrt(np.sum(w * (mean - gj) ** 2)) for wj, gj in zip(wts, g)
+        ))
+    np.testing.assert_allclose(traj.forcing_defect, expected, rtol=1e-13, atol=0.0)
 
 
 def test_run_rejects_unknown_forcing_mode_without_forcing():

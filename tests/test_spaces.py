@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixedwave import spaces as sp
-from mixedwave.mesh import unit_square_mesh, two_triangle_square
+from mixedwave.mesh import build_mesh, unit_square_mesh, two_triangle_square
 
 
 def _poly_vector(rng, degree=3):
@@ -125,3 +125,32 @@ def test_broken_grad():
     g = p.broken_grad(cells, space.quad_points)
     assert np.abs(g[..., 0] - 1.0).max() < 1e-12
     assert np.abs(g[..., 1]).max() < 1e-12
+
+
+def _jittered_mesh(n, seed):
+    base = unit_square_mesh(n)
+    v = np.array(base.vertices)
+    interior = np.all((v > 0.0) & (v < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    v[interior] += rng.uniform(-0.1, 0.1, (int(interior.sum()), 2)) / n
+    return build_mesh(v, base.cells)
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_quadrature_maps_match_basis_evaluation(l):
+    space = sp.MixedSpace(_jittered_mesh(5, 3), l)
+    rng = np.random.default_rng(4)
+    sig = space.stress_field(rng.standard_normal(space.n_stress))
+    u = space.disp_field(rng.standard_normal(space.n_disp))
+    cells = np.arange(space.mesh.num_cells)
+    pts = space.quad_points
+    div = np.einsum(
+        "tqk,tk->tq", space.eval_div_basis(cells, pts), sig.local_coefficients()
+    )
+    for got, ref in (
+        (sig.at_quad(), sig.eval(cells, pts)),
+        (sig.div_at_quad(), div),
+        (u.at_quad(), u.eval(cells, pts)),
+    ):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

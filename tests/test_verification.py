@@ -3,6 +3,9 @@ import pytest
 import sympy as sym
 
 from mixedwave import verification as ver
+from mixedwave.assembly import Coefficient
+from mixedwave.mesh import unit_square_mesh
+from mixedwave.spaces import MixedSpace
 
 
 def test_registered_problems_self_check():
@@ -153,3 +156,22 @@ def test_solve_problem_uses_final_time_default():
     p = ver.standing_wave()
     traj = ver.solve_problem(p, 2, 4)
     assert abs(traj.grid.nodes[-1] - p.final_time) < 1e-14
+
+
+def test_stress_error_matches_dense_form_for_full_coefficient():
+    # every registered A is diagonal; this one exercises the off-diagonal
+    # part of the quadratic form
+    A = Coefficient(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    space = MixedSpace(unit_square_mesh(4), 1)
+    alpha = A.alpha_at(space.quad_points)
+    coeffs = np.random.default_rng(6).standard_normal(space.n_stress)
+    exact = lambda x, y, t: np.stack([np.sin(x + t), x * y], axis=-1)
+    got = ver._stress_error(space, alpha, coeffs, exact, 0.3)
+
+    pts = space.quad_points
+    d = space.stress_field(coeffs).at_quad() - exact(pts[..., 0], pts[..., 1], 0.3)
+    w = space.quad_weights
+    dense = np.sqrt(np.einsum("tq,tqcd,tqc,tqd->", w, alpha, d, d))
+    assert abs(got - dense) <= 1e-13 * dense
+    diagonal = np.sqrt(np.einsum("tq,tqc,tqc->", w, alpha[..., [0, 1], [0, 1]], d * d))
+    assert abs(dense - diagonal) > 1e-3 * dense
