@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .spaces import MixedSpace, StressField, _cell_rows, _eval_scalar, _scatter
+from .spaces import MixedSpace, _cell_rows, _eval_scalar, _scatter
 
 
 class AssemblyError(Exception):
@@ -159,22 +159,36 @@ def disp_l2_norm_cellwise(space, vals):
 # ----------------------------------------------------------------------
 
 # Step of the central differences of alpha in the curl operator, relative
-# to h_K (see curl_elementwise).
+# to h_K (see EstimatorOperators).
 _FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class EstimatorOperators:
-    """Sparse linear maps from global stress coefficients Sigma.
+    """Sparse linear maps whose images the spatial estimator measures.
 
-    alpha_sigma : (alpha Sigma_h) at the cell quadrature, rows (T, nq, 2)
-    jump : sqrt(w) [(alpha Sigma_h) . t], left minus right, on the
-        interior edges in index order, rows (n_interior, nq_edge)
-    curl : sqrt(w) curl_h(alpha Sigma_h) at the cell quadrature, rows (T, nq)
+    All but cell_jump act on coefficient vectors and carry sqrt(w) of
+    their quadrature, so a cellwise L2 norm is a block norm of the image.
+
+    alpha_sigma : alpha Sigma_h at the cell quadrature, rows (T, nq, 2)
+    grad_u : grad_h U at the cell quadrature, rows (T, nq, 2), on
+        displacement coefficients; the zero map for RT0
+    jump : (alpha Sigma_h) . t, left minus right cell of Mesh.edge_cells,
+        on the interior edges in index order, rows (n_interior, nq_edge);
+        t is the canonical edge tangent, and boundary edges carry no jump
+    cell_jump : (T, n_interior * nq_edge) map from squared jump samples to
+        sum_E h_E / 2 int_E |jump|^2 over the interior edges E of a cell
+    curl : curl_h(alpha Sigma_h) = d1 g2 - d2 g1 of g = alpha Sigma_h at
+        the cell quadrature, rows (T, nq).  Stress derivatives are exact.
+        Only A(x) is given, so for non-constant A the derivative of alpha
+        is a central difference with step 1e-6 h_K: truncation error
+        O(step^2), round-off O(eps / step).
     """
 
     alpha_sigma: sp.csr_matrix
+    grad_u: sp.csr_matrix
     jump: sp.csr_matrix
+    cell_jump: sp.csr_matrix
     curl: sp.csr_matrix
 
 
@@ -193,16 +207,30 @@ def estimator_operators(space, coeff):
 
 def _build_estimator_operators(space, coeff):
     mesh = space.mesh
+    T = mesh.num_cells
     n_s = space.n_stress
     dofs = space.cell_stress_dofs
     pts = space.quad_points
+    sqrt_w = np.sqrt(space.quad_weights)[..., None]  # (T, nq, 1)
     sb = space.stress_at_quad  # (T, nq, nl, 2)
     alpha = coeff.alpha_at(pts)
-    alpha_sigma = _cell_rows(np.einsum("tqcd,tqkd->tqck", alpha, sb), dofs, n_s)
+    alpha_sigma = _cell_rows(
+        sqrt_w[..., None] * np.einsum("tqcd,tqkd->tqck", alpha, sb), dofs, n_s
+    )
+
+    # the RT1 displacement basis {1, X, Y}, X = (x - x_c) / h_K, has
+    # gradients 0, (1/h_K, 0) and (0, 1/h_K)
+    if space.rt_index == 0:
+        grad_u = sp.csr_matrix((alpha_sigma.shape[0], space.n_disp))
+    else:
+        loc = np.zeros(pts.shape + (3,))
+        loc[..., 0, 1] = loc[..., 1, 2] = sqrt_w[..., 0] / mesh.h_cell[:, None]
+        grad_u = _cell_rows(loc, space.cell_disp_dofs, space.n_disp)
 
     # tangential traces from both sides of each interior edge
     tq, tw = quadrature.segment_rule(space.edge_degree)
     interior = np.flatnonzero(~mesh.boundary_edge)
+    n_int, nq_e = len(interior), len(tq)
     epts, ew = quadrature.map_to_edges(mesh, tq, tw, interior)
     alpha_t = np.sqrt(ew)[..., None] * np.einsum(
         "eqcd,ec->eqd", coeff.alpha_at(epts), mesh.edge_tangents()[interior]
@@ -214,60 +242,31 @@ def _build_estimator_operators(space, coeff):
     ]
     jump = _cell_rows(
         np.concatenate([traces[0], -traces[1]], axis=-1),
-        dofs[sides].reshape(len(interior), 2 * space.n_loc_stress),
+        dofs[sides].reshape(n_int, 2 * space.n_loc_stress),
         n_s,
     )
+    cell_jump = _scatter(
+        np.repeat(sides, nq_e, axis=1),
+        np.tile(np.arange(n_int * nq_e).reshape(n_int, nq_e), 2),
+        np.repeat(0.5 * mesh.h_edge[interior], 2 * nq_e),
+        (T, n_int * nq_e),
+    )
 
-    # curl(alpha phi_k), as documented in curl_elementwise
-    grad = space.eval_stress_grad_basis(np.arange(mesh.num_cells), pts)
+    # curl(alpha phi_k): alpha times the derivatives of phi_k, plus the
+    # derivatives of alpha times phi_k
+    grad = space.eval_stress_grad_basis(np.arange(T), pts)
     adx = np.einsum("tqcd,tqkd->tqkc", alpha, grad[..., 0])
     ady = np.einsum("tqcd,tqkd->tqkc", alpha, grad[..., 1])
     curl = adx[..., 1] - ady[..., 0]
     if not coeff.is_constant:
-        h = mesh.h_cell[:, None, None]
-        for d in range(2):
-            step = np.zeros((1, 1, 2))
-            step[..., d] = 1.0
-            delta = _FD_STEP * h * step
+        step = _FD_STEP * mesh.h_cell[:, None, None]
+        for d, sign in ((0, 1.0), (1, -1.0)):
+            delta = step * np.eye(2)[d]
             ap = coeff.alpha_at(pts + delta)
             am = coeff.alpha_at(pts - delta)
-            dalpha = (ap - am) / (2.0 * _FD_STEP * h[..., None])
-            term = np.einsum("tqcd,tqkd->tqkc", dalpha, sb)
-            if d == 0:
-                curl = curl + term[..., 1]
-            else:
-                curl = curl - term[..., 0]
-    curl = _cell_rows(np.sqrt(space.quad_weights)[..., None] * curl, dofs, n_s)
-    return EstimatorOperators(alpha_sigma=alpha_sigma, jump=jump, curl=curl)
-
-
-def _block_sums_sq(values, n):
-    """Sums of squares of `values` in n equal consecutive blocks."""
-    return (values.reshape(n, -1) ** 2).sum(axis=1)
-
-
-def edge_tangential_jump(field: StressField, A=None):
-    """Per-edge integrals int_E |J(alpha sigma_h . t)|^2 ds.
-
-    Boundary edges get 0; the jump uses the canonical edge orientation.
-    """
-    mesh = field.space.mesh
-    interior = ~mesh.boundary_edge
-    jump = estimator_operators(field.space, as_coefficient(A)).jump
-    out = np.zeros(mesh.num_edges)
-    if interior.any():
-        out[interior] = _block_sums_sq(jump @ field.coefficients, interior.sum())
-    return out
-
-
-def curl_elementwise(field: StressField, A=None):
-    """Per-cell integrals int_K |curl_h(alpha sigma_h)|^2.
-
-    curl g = d1 g2 - d2 g1 with g = alpha sigma_h.  Stress derivatives
-    are analytic.  Only A(x) is given, not its derivative, so for
-    non-constant A the derivative of alpha is a central difference with
-    step 1e-6 h_K: its truncation error is O(step^2) and its round-off
-    O(eps / step), which moves bound_sigma by about 1e-11 relative.
-    """
-    ops = estimator_operators(field.space, as_coefficient(A))
-    return _block_sums_sq(ops.curl @ field.coefficients, field.space.mesh.num_cells)
+            dalpha = (ap - am) / (2.0 * step[..., None])
+            curl = curl + sign * np.einsum("tqcd,tqkd->tqkc", dalpha, sb)[..., 1 - d]
+    curl = _cell_rows(sqrt_w * curl, dofs, n_s)
+    return EstimatorOperators(
+        alpha_sigma=alpha_sigma, grad_u=grad_u, jump=jump, cell_jump=cell_jump, curl=curl
+    )

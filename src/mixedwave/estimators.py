@@ -20,10 +20,8 @@ import numpy as np
 from . import solver
 from .assembly import (
     as_coefficient,
-    curl_elementwise,
     disp_l2_norm,
     disp_l2_norm_cellwise,
-    edge_tangential_jump,
     estimator_operators,
 )
 
@@ -73,41 +71,32 @@ def spatial_estimate(space, sigma_coeffs, r2_values, displacement, A=None):
     """Spatial estimator ingredients for one (sigma, r_2, U) data set.
 
     r2_values are the strong residual samples at the space quadrature,
-    shape (T, nq).  The gradient term is ||h(alpha sigma + grad_h U)||
-    with U the `displacement` coefficients, the node-data form the
-    composite bounds use.  The sigma terms are products with the
-    operators of (space, A), which are built once per Coefficient
-    object: pass the same Coefficient to reuse them.
+    shape (T, nq); sigma_coeffs and displacement are the coefficient
+    vectors of Sigma and U.  The other terms are products of the
+    EstimatorOperators of (space, A) with those vectors: the gradient
+    defect ||h(alpha sigma + grad_h U)||_K and ||h curl(alpha sigma)||_K
+    are h_K times block norms of the products, and the jump term is the
+    root of cell_jump applied to the squared jump samples.  The
+    operators are built once per Coefficient object: pass the same
+    Coefficient to reuse them.
     """
-    coeff = as_coefficient(A)
-    mesh = space.mesh
-    l = space.rt_index
+    ops = estimator_operators(space, as_coefficient(A))
+    h = space.mesh.h_cell
+    T = len(h)
     r2_cell = disp_l2_norm_cellwise(space, np.asarray(r2_values, dtype=float))
-    res_low = mesh.h_cell ** (l + 1) * r2_cell
-    res_high = mesh.h_cell * r2_cell
-
-    sig_field = space.stress_field(sigma_coeffs)
-    ops = estimator_operators(space, coeff)
-    g = (ops.alpha_sigma @ sig_field.coefficients).reshape(space.quad_points.shape)
-    grad_u = space.disp_field(displacement).broken_grad(
-        np.arange(mesh.num_cells), space.quad_points
-    )
-    d = g + grad_u
-    grad_term = mesh.h_cell * np.sqrt(
-        np.einsum("tq,tqc,tqc->t", space.quad_weights, d, d)
-    )
-
-    jump_sq = edge_tangential_jump(sig_field, coeff)  # per-edge integrals
-    cell_jump_sq = 0.5 * mesh.h_edge[mesh.cell_edges] * jump_sq[mesh.cell_edges]
-    jump = np.sqrt(cell_jump_sq.sum(axis=1))
-    curl = mesh.h_cell * np.sqrt(curl_elementwise(sig_field, coeff))
+    defect = ops.alpha_sigma @ sigma_coeffs + ops.grad_u @ displacement
     return SpatialEstimate(
-        residual_low=res_low,
-        residual_high=res_high,
-        gradient=grad_term,
-        jump=jump,
-        curl=curl,
+        residual_low=h ** (space.rt_index + 1) * r2_cell,
+        residual_high=h * r2_cell,
+        gradient=h * _block_norms(defect, T),
+        jump=np.sqrt(ops.cell_jump @ (ops.jump @ sigma_coeffs) ** 2),
+        curl=h * _block_norms(ops.curl @ sigma_coeffs, T),
     )
+
+
+def _block_norms(values, n):
+    """Euclidean norms of `values` in n equal consecutive blocks."""
+    return np.sqrt((values.reshape(n, -1) ** 2).sum(axis=1))
 
 
 # ----------------------------------------------------------------------

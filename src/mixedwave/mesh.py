@@ -137,6 +137,21 @@ def _check_hanging_vertices(vertices, edges, boundary_edge):
             )
 
 
+def _boundary_loops(num_vertices, boundary_edges):
+    """Connected components of the boundary-edge graph, by min-label hooking."""
+    a, b = boundary_edges.T
+    label = np.arange(num_vertices)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, label[a], low)
+        np.minimum.at(new, label[b], low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return len(np.unique(label[boundary_edges]))
+        label = new
+
+
 def build_mesh(vertices, cell_list, check_hanging=True):
     """Build a conforming Mesh from vertex coordinates and cell triples.
 
@@ -185,13 +200,14 @@ def build_mesh(vertices, cell_list, check_hanging=True):
                 int(np.argmax(counts))
             )
         )
-    edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
-    slot = np.zeros(len(edges), dtype=np.int64)
-    for c in range(len(cells)):
-        for e in cell_edges[c]:
-            edge_cells[e, slot[e]] = c
-            slot[e] += 1
+    # a stable sort of the edge index keeps each edge's cells in
+    # increasing order: slot 0 is the lower cell index
+    cell_of = np.argsort(inverse, kind="stable") // 3
+    first = np.cumsum(counts) - counts
     boundary_edge = counts == 1
+    edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_cells[:, 0] = cell_of[first]
+    edge_cells[~boundary_edge, 1] = cell_of[first[~boundary_edge] + 1]
 
     h_edge = np.linalg.norm(
         vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1
@@ -201,10 +217,14 @@ def build_mesh(vertices, cell_list, check_hanging=True):
     if check_hanging:
         _check_hanging_vertices(vertices, edges, boundary_edge)
 
+    # a connected planar mesh whose boundary has b loops has
+    # V - E + T = 2 - b; disconnected meshes fail this count
     euler = len(vertices) - len(edges) + len(cells)
-    if euler != 1:
+    loops = _boundary_loops(len(vertices), edges[boundary_edge])
+    if euler != 2 - loops:
         raise NonConformingError(
-            "Euler relation V - E + T = 1 violated (got {})".format(euler)
+            "Euler relation V - E + T = 2 - {} boundary loops violated "
+            "(got {})".format(loops, euler)
         )
 
     for arr in (vertices, cells, edges, cell_edges, edge_cells):

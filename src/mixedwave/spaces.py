@@ -31,10 +31,6 @@ class UnsupportedIndexError(SpaceError):
     """RT index outside {0, 1}."""
 
 
-class QuadratureOrderTooLowError(SpaceError):
-    pass
-
-
 class CellIndexOutOfRangeError(SpaceError):
     pass
 
@@ -111,24 +107,16 @@ class MixedSpace:
     first use; all evaluation methods are pure.
     """
 
-    def __init__(self, mesh: Mesh, rt_index: int, cell_degree=None, edge_degree=None):
+    def __init__(self, mesh: Mesh, rt_index: int):
         if rt_index not in (0, 1):
             raise UnsupportedIndexError(
                 "RT index must be 0 or 1, got {}".format(rt_index)
             )
         l = rt_index
-        if cell_degree is None:
-            cell_degree = 2 * l + 4
-        if edge_degree is None:
-            edge_degree = 2 * l + 3
-        if cell_degree < 2 * l or edge_degree < 2 * l:
-            raise QuadratureOrderTooLowError(
-                "quadrature degree too low for RT index {}".format(l)
-            )
         self.mesh = mesh
         self.rt_index = l
-        self.cell_degree = cell_degree
-        self.edge_degree = edge_degree
+        self.cell_degree = 2 * l + 4
+        self.edge_degree = 2 * l + 3
 
         T, E = mesh.num_cells, mesh.num_edges
         self.n_stress = E * (l + 1) + (2 * T if l == 1 else 0)
@@ -340,19 +328,6 @@ class DispField:
     def eval(self, cells, pts):
         basis = self.space.eval_disp_basis(cells, pts)
         return np.einsum("t...a,ta->t...", basis, self.local_coefficients(cells))
-
-    def broken_grad(self, cells, pts):
-        """Elementwise gradient at points (nc, nq, 2).  Zero for l = 0.
-
-        The local basis {1, X, Y} has a constant gradient per cell.
-        """
-        space = self.space
-        if space.rt_index == 0:
-            return np.zeros(pts.shape)
-        h = space.mesh.h_cell[cells]
-        coef = self.local_coefficients(cells)
-        g = coef[:, 1:3] / h[:, None]
-        return np.broadcast_to(g[:, None, :], pts.shape).copy()
 
 
 def evaluate(field, cell, point):

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from mixedwave import mesh as msh
+from mixedwave import reconstruction as rec
+from mixedwave import solver
+from mixedwave.assembly import assemble_system
+from mixedwave.spaces import MixedSpace
+from mixedwave.verification import energy_drift
 
 
 def test_two_triangle_square_counts():
@@ -100,7 +105,7 @@ def test_hanging_vertex_inside_the_domain_rejected():
 
 def test_orphan_vertex_rejected():
     # an 8 x 8 grid with its four centre squares removed leaves the
-    # centre vertex in no cell; V - E + T = 1 still holds by accident
+    # centre vertex in no cell; the orphan check names it first
     m = msh.unit_square_mesh(8)
     centre = m.vertices[m.cells].mean(axis=1)
     hole = np.all(np.abs(centre - 0.5) < 0.125, axis=1)
@@ -108,6 +113,54 @@ def test_orphan_vertex_rejected():
     cells = m.cells[~hole]
     with pytest.raises(msh.NonConformingError, match="vertex 40 belongs to no cell"):
         msh.build_mesh(m.vertices, cells)
+
+
+def _holed_grid():
+    # an 8 x 8 grid without the two cells of one interior square
+    m = msh.unit_square_mesh(8)
+    square = 2 * (3 * 8 + 4)
+    return m.vertices, np.delete(m.cells, [square, square + 1], axis=0)
+
+
+def test_disjoint_triangles_rejected():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]
+    with pytest.raises(msh.NonConformingError, match="Euler"):
+        msh.build_mesh(vertices, [[0, 1, 2], [3, 4, 5]])
+
+
+def test_mesh_with_a_hole_builds_and_runs():
+    mesh = msh.build_mesh(*_holed_grid())
+    assert mesh.num_vertices - mesh.num_edges + mesh.num_cells == 0
+    assert int(mesh.boundary_edge.sum()) == 32 + 4
+    system = assemble_system(MixedSpace(mesh, 0))
+    u0 = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    u1 = lambda x, y: np.zeros(np.shape(x))
+    traj = solver.run(system, None, u0, u1, solver.uniform_grid(0.2, 4))
+    assert energy_drift(traj) <= 1e-10
+    recon = rec.reconstruct_trajectory(traj, levels=1)
+    for n in range(traj.grid.num_steps + 1):
+        scale = max(1.0, np.abs(traj.Sigma[n]).max())
+        r1, r2 = rec.galerkin_orthogonality(recon, n)
+        assert r1 < 1e-9 * scale
+        assert r2 < 1e-9 * scale
+
+
+def test_edge_cells_on_a_jittered_mesh():
+    base = msh.unit_square_mesh(6)
+    v = np.array(base.vertices)
+    inner = np.all((v > 0.0) & (v < 1.0), axis=1)
+    v[inner] += np.random.default_rng(3).uniform(-0.015, 0.015, (int(inner.sum()), 2))
+    cells = base.cells[np.random.default_rng(4).permutation(base.num_cells)]
+    m = msh.build_mesh(v, cells)
+    interior = ~m.boundary_edge
+    left, right = m.edge_cells[interior].T
+    assert np.all(left < right)
+    assert np.all(m.edge_cells[m.boundary_edge, 1] == -1)
+    for e in range(m.num_edges):
+        for c in m.edge_cells[e]:
+            if c >= 0:
+                assert e in m.cell_edges[c]
+                assert set(m.edges[e]) <= set(m.cells[c])
 
 
 def test_overshared_edge_rejected():

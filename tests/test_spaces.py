@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mixedwave import spaces as sp
+from mixedwave.assembly import Coefficient, estimator_operators
 from mixedwave.mesh import build_mesh, unit_square_mesh, two_triangle_square
 
 
@@ -41,11 +42,6 @@ def _poly_vector(rng, degree=3):
 def test_unsupported_index():
     with pytest.raises(sp.UnsupportedIndexError):
         sp.MixedSpace(unit_square_mesh(2), 2)
-
-
-def test_quadrature_too_low():
-    with pytest.raises(sp.QuadratureOrderTooLowError):
-        sp.MixedSpace(unit_square_mesh(2), 1, cell_degree=1)
 
 
 def test_dof_counts():
@@ -118,13 +114,15 @@ def test_evaluate_out_of_range():
 
 
 def test_broken_grad():
-    space = sp.MixedSpace(unit_square_mesh(2), 1)
-    # u = x on each cell: local coefficients from projection
-    p = sp.l2_project_scalar(space, lambda x, y: x)
-    cells = np.arange(space.mesh.num_cells)
-    g = p.broken_grad(cells, space.quad_points)
-    assert np.abs(g[..., 0] - 1.0).max() < 1e-12
-    assert np.abs(g[..., 1]).max() < 1e-12
+    # u = x on each cell: local coefficients from projection; P0 has no slope
+    for l, slope in ((0, 0.0), (1, 1.0)):
+        space = sp.MixedSpace(unit_square_mesh(2), l)
+        p = sp.l2_project_scalar(space, lambda x, y: x)
+        ops = estimator_operators(space, Coefficient())
+        sqrt_w = np.sqrt(space.quad_weights)
+        g = (ops.grad_u @ p.coefficients).reshape(space.quad_points.shape)
+        assert np.abs(g[..., 0] - slope * sqrt_w).max() < 1e-12
+        assert np.abs(g[..., 1]).max() < 1e-12
 
 
 def _jittered_mesh(n, seed):
