@@ -38,7 +38,7 @@ from .reconstruction import (
     reconstruct_trajectory,
 )
 from .solver import TimeGrid, Trajectory, run, uniform_grid
-from .spaces import DispField, MixedSpace, StressField, fortin_interpolate, l2_project_scalar
+from .spaces import MixedSpace, fortin_interpolate, l2_project_scalar
 from .verification import (
     ManufacturedProblem,
     StudyResult,

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import quadrature
 from .spaces import MixedSpace, _cell_rows, _eval_scalar, _scatter
 
 
@@ -33,10 +32,8 @@ class Coefficient:
         if callable(entries):
             self.kind = "callable"
             self.fn = entries
-        elif entries is None:
-            self.kind = "identity"
         else:
-            A = np.asarray(entries, dtype=float)
+            A = np.eye(2) if entries is None else np.asarray(entries, dtype=float)
             if A.shape != (2, 2) or not np.allclose(A, A.T):
                 raise AssemblyError("constant coefficient must be symmetric 2x2")
             self.kind = "constant"
@@ -44,13 +41,11 @@ class Coefficient:
 
     @property
     def is_constant(self):
-        return self.kind in ("identity", "constant")
+        return self.kind == "constant"
 
     def a_at(self, pts):
         """A at points (..., 2) -> (..., 2, 2)."""
         shape = pts.shape[:-1]
-        if self.kind == "identity":
-            return np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
         if self.kind == "constant":
             return np.broadcast_to(self.A, shape + (2, 2)).copy()
         A = np.asarray(self.fn(pts[..., 0], pts[..., 1]), dtype=float)
@@ -228,10 +223,9 @@ def _build_estimator_operators(space, coeff):
         grad_u = _cell_rows(loc, space.cell_disp_dofs, space.n_disp)
 
     # tangential traces from both sides of each interior edge
-    tq, tw = quadrature.segment_rule(space.edge_degree)
     interior = np.flatnonzero(~mesh.boundary_edge)
-    n_int, nq_e = len(interior), len(tq)
-    epts, ew = quadrature.map_to_edges(mesh, tq, tw, interior)
+    epts, ew = space.edge_quadrature(interior)
+    n_int, nq_e = ew.shape
     alpha_t = np.sqrt(ew)[..., None] * np.einsum(
         "eqcd,ec->eqd", coeff.alpha_at(epts), mesh.edge_tangents()[interior]
     )

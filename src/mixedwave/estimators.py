@@ -109,8 +109,7 @@ def r2_strong_values(traj, n):
     f_bar^n is the run's own sample (Trajectory.fbar_quad); f is not called.
     """
     space = traj.space
-    dt2 = space.disp_field(traj.d2U[n]).at_quad()
-    r2 = dt2 + space.stress_field(traj.Sigma[n]).div_at_quad()
+    r2 = space.disp_values(traj.d2U[n]) + space.div_values(traj.Sigma[n])
     if traj.fbar_quad is not None:
         r2 -= traj.fbar_quad[n]
     return r2
@@ -137,12 +136,6 @@ class TemporalEstimate:
     e22: np.ndarray
     e23: np.ndarray
     e24: np.ndarray
-
-    def at(self, m):
-        return {
-            name: float(getattr(self, name)[m])
-            for name in ("e11", "e12", "e13", "e14", "e21", "e22", "e23", "e24")
-        }
 
 
 def temporal_estimate(traj):
@@ -181,12 +174,12 @@ def temporal_estimate(traj):
     acc["e24"][1:] = k * defect[1:]
 
     # D^j: samples of (r_2^j - div Sigma^j) = d2U^j - f_bar^j
-    D_prev = space.disp_field(traj.d2U[0]).at_quad() - fbar[0]
+    D_prev = space.disp_values(traj.d2U[0]) - fbar[0]
     dtD_prev = None
     inner_sum = 0.0  # running sum of the k^2/2, k^3/12 addends
     for j in range(1, N + 1):
         kj = k[j - 1]
-        dt2 = space.disp_field(traj.d2U[j]).at_quad()
+        dt2 = space.disp_values(traj.d2U[j])
         dt2_norm = disp_l2_norm(space, dt2)
 
         # int |mu| = 3k/2 on each interval
@@ -433,49 +426,48 @@ def calibrate_scales(report, target=2.0):
 # serialization
 # ----------------------------------------------------------------------
 
+def write_columns(path, header, columns):
+    """Write equal-length columns as CSV under a header row.
+
+    The first column is written as integers and the others with 17
+    significant digits, so every float reads back bit-identically.
+    """
+    np.savetxt(
+        path,
+        np.column_stack(columns),
+        fmt=["%d"] + ["%.17g"] * (len(columns) - 1),
+        delimiter=",",
+        header=",".join(header),
+        comments="",
+    )
+
+
 def write_report_csv(report, path):
-    """One row per time node: components, bounds, errors, effectivity."""
+    """One row per time node: components, bounds, errors, effectivity.
+
+    The effectivity is inf at a node with zero error.
+    """
     names = list(_COMPONENT_NAMES)
-    with open(path, "w") as fh:
-        header = ["n", "t_n"] + names + ["bound_u", "bound_sigma"]
-        if report.err_u is not None:
-            header += ["err_u", "err_sigma", "eff_u", "eff_sigma"]
-        fh.write(",".join(header) + "\n")
-        for m in range(report.grid.num_steps + 1):
-            row = [str(m), "%.17g" % report.grid.nodes[m]]
-            row += ["%.17g" % report.components[name][m] for name in names]
-            row += ["%.17g" % report.bound_u[m], "%.17g" % report.bound_sigma[m]]
-            if report.err_u is not None:
-                eu, es = report.err_u[m], report.err_sigma[m]
-                row += ["%.17g" % eu, "%.17g" % es]
-                row += ["%.17g" % (report.bound_u[m] / eu) if eu > 0 else "inf"]
-                row += ["%.17g" % (report.bound_sigma[m] / es) if es > 0 else "inf"]
-            fh.write(",".join(row) + "\n")
+    nodes = report.grid.nodes
+    header = ["n", "t_n"] + names + ["bound_u", "bound_sigma"]
+    columns = [np.arange(len(nodes)), nodes] + [report.components[n] for n in names]
+    columns += [report.bound_u, report.bound_sigma]
+    if report.err_u is not None:
+        header += ["err_u", "err_sigma", "eff_u", "eff_sigma"]
+        errors = (report.err_u, report.err_sigma)
+        columns += errors
+        for bound, err in zip((report.bound_u, report.bound_sigma), errors):
+            eff = np.full(len(err), np.inf)
+            columns.append(np.divide(bound, err, out=eff, where=err > 0))
+    write_columns(path, header, columns)
 
 
 def write_cellwise_csv(estimate, mesh, path):
     """Per-cell spatial map of one node's estimator ingredients."""
-    cx, cy = mesh.cell_centroids().T
-    with open(path, "w") as fh:
-        fh.write(
-            "cell,x,y,residual_low,residual_high,gradient,jump,curl\n"
-        )
-        for t in range(mesh.num_cells):
-            fh.write(
-                ",".join(
-                    ["%d" % t]
-                    + [
-                        "%.17g" % v
-                        for v in (
-                            cx[t],
-                            cy[t],
-                            estimate.residual_low[t],
-                            estimate.residual_high[t],
-                            estimate.gradient[t],
-                            estimate.jump[t],
-                            estimate.curl[t],
-                        )
-                    ]
-                )
-                + "\n"
-            )
+    names = ["residual_low", "residual_high", "gradient", "jump", "curl"]
+    write_columns(
+        path,
+        ["cell", "x", "y"] + names,
+        [np.arange(mesh.num_cells), *mesh.cell_centroids().T]
+        + [getattr(estimate, name) for name in names],
+    )

@@ -270,17 +270,12 @@ def unit_square_mesh(n):
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append([a, b, c])
-            cells.append([a, c, d])
+    # square (i, j), in row-major order, has lower-left vertex i (n + 1) + j
+    # and gives cells (a, b, c) and (a, c, d), counterclockwise from a
+    I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    a = (I * (n + 1) + J).ravel()
+    b, c, d = a + n + 1, a + n + 2, a + 1
+    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     return build_mesh(vertices, cells, check_hanging=False)
 
 

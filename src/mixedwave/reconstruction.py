@@ -15,11 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import quadrature
 from .assembly import assemble_system
 from .mesh import refine_uniform
 from .solver import SingularSystemError, TimeGrid, load_vector
-from .spaces import MixedSpace
+from .spaces import MixedSpace, _cell_rows, rt_interpolate
 
 
 class ReconstructionError(Exception):
@@ -131,47 +130,21 @@ def _disp_prolongation(coarse, fine, parent):
 def _stress_prolongation(coarse, fine, parent):
     """Enriched-space degrees of freedom of every coarse stress basis function.
 
-    Edge moments are taken from the side fine.edge_cells[:, 0]; coarse RT
-    normal traces are single-valued across edges, so the side is
-    immaterial.
+    Each fine dof is interpolated from the local basis of one coarse
+    cell: the parent of its fine cell, or for an edge dof the parent of
+    fine.edge_cells[:, 0]; coarse RT normal traces are single-valued
+    across edges, so the side is immaterial.
     """
-    l = coarse.rt_index
-    mesh_f = fine.mesh
-    eval_cells = parent[mesh_f.edge_cells[:, 0]]
-    tq, tw = quadrature.segment_rule(2 * l + 2)
-    pts, w = quadrature.map_to_edges(mesh_f, tq, tw)
-    basis = coarse.eval_stress_basis(eval_cells, pts)  # (Ef, nq, nl, 2)
-    vn = np.einsum("eqkc,ec->eqk", basis, mesh_f.edge_normals())
+    edge_parent = parent[fine.mesh.edge_cells[:, 0]]
+    edge_pts, _ = fine.edge_quadrature()
 
-    rows_list, cols_list, vals_list = [], [], []
-    cols_edge = coarse.cell_stress_dofs[eval_cells]  # (Ef, nl)
-    for i in range(l + 1):
-        q = np.ones_like(tq) if i == 0 else 2.0 * tq - 1.0
-        moments = np.einsum("eq,eqk->ek", w * q[None, :], vn)
-        rows = (l + 1) * np.arange(mesh_f.num_edges) + i
-        rows_list.append(np.repeat(rows, coarse.n_loc_stress))
-        cols_list.append(cols_edge.ravel())
-        vals_list.append(moments.ravel())
-    if l == 1:
-        cells_f = np.arange(mesh_f.num_cells)
-        basis = coarse.eval_stress_basis(parent, fine.quad_points)
-        cellint = np.einsum("tq,tqkc->tkc", fine.quad_weights, basis)
-        base = 2 * mesh_f.num_edges
-        cols_cell = coarse.cell_stress_dofs[parent]
-        for c in range(2):
-            rows = base + 2 * cells_f + c
-            rows_list.append(np.repeat(rows, coarse.n_loc_stress))
-            cols_list.append(cols_cell.ravel())
-            vals_list.append(cellint[:, :, c].ravel())
-    P = sp.coo_matrix(
-        (
-            np.concatenate(vals_list),
-            (np.concatenate(rows_list), np.concatenate(cols_list)),
-        ),
-        shape=(fine.n_stress, coarse.n_stress),
-    ).tocsr()
-    P.sum_duplicates()
-    return P
+    def basis(cells, pts):  # the coarse local basis as a trailing batch axis
+        return np.swapaxes(coarse.eval_stress_basis(cells, pts), -1, -2)
+
+    cell_basis = basis(parent, fine.quad_points) if coarse.rt_index else None
+    local = rt_interpolate(fine, basis(edge_parent, edge_pts), cell_basis)
+    source = np.concatenate([edge_parent, parent])[fine.stress_dof_entity]
+    return _cell_rows(local, coarse.cell_stress_dofs[source], coarse.n_stress)
 
 
 def enrich_space(space, levels=1):
@@ -243,8 +216,7 @@ class EllipticReconstruction:
 
     All coefficient arrays live on the enriched space.  u_tilde and
     sigma_tilde are the reconstructions; U_fine and Sigma_fine are the
-    exact transfers of the discrete states.  c1_u and c1_sigma are the
-    C1-in-time interpolants of the reconstruction node data.
+    exact transfers of the discrete states.
     """
 
     enriched: EnrichedSpace
@@ -254,24 +226,21 @@ class EllipticReconstruction:
     sigma_tilde: np.ndarray
     U_fine: np.ndarray
     Sigma_fine: np.ndarray
-    c1_u: C1Interpolant
-    c1_sigma: C1Interpolant
 
 
-def reconstruct_trajectory(traj, enriched=None, levels=1):
+def reconstruct_trajectory(traj, enriched=None):
     """Reconstruct (u_t^n, sigma_t^n) at every node of `traj`.
 
     The right-hand side at node n is f_bar^n - d2U^n, with d2U^n
     transferred to the enriched space and f_bar^n sampled as the run
     sampled it; node 0 takes the discrete initial acceleration
     (Trajectory.d2U) and f at t = 0.  The N+1 right-hand sides are
-    solved together in one multi-right-hand-side solve.  The initial
-    reconstruction rates are one-sided differences of the node
-    reconstructions.
+    solved together in one multi-right-hand-side solve.  `enriched`
+    defaults to enrich_space(traj.space).
     """
     space = traj.space
     if enriched is None:
-        enriched = enrich_space(space, levels)
+        enriched = enrich_space(space)
     fine_system = assemble_system(enriched.fine, traj.system.coefficient)
 
     loads = np.stack([
@@ -280,10 +249,6 @@ def reconstruct_trajectory(traj, enriched=None, levels=1):
     ])
     d2U_fine = fine_system.M_u @ (enriched.P_disp @ traj.d2U.T)
     u_t, s_t = reconstruct_elliptic(fine_system, loads - d2U_fine.T)
-
-    k1 = traj.grid.steps[0]
-    c1_u = c1_build(traj.grid, u_t, (u_t[1] - u_t[0]) / k1)
-    c1_sigma = c1_build(traj.grid, s_t, (s_t[1] - s_t[0]) / k1)
     return EllipticReconstruction(
         enriched=enriched,
         fine_system=fine_system,
@@ -292,8 +257,6 @@ def reconstruct_trajectory(traj, enriched=None, levels=1):
         sigma_tilde=s_t,
         U_fine=traj.U @ enriched.P_disp.T,
         Sigma_fine=traj.Sigma @ enriched.P_stress.T,
-        c1_u=c1_u,
-        c1_sigma=c1_sigma,
     )
 
 

@@ -270,8 +270,8 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
     Sigma = np.zeros((N + 1, space.n_stress))
     dtU = np.zeros((N + 1, space.n_disp))
 
-    U[0] = l2_project_scalar(space, u0).coefficients
-    dtU[0] = l2_project_scalar(space, u1).coefficients
+    U[0] = l2_project_scalar(space, u0)
+    dtU[0] = l2_project_scalar(space, u1)
     Sigma[0] = initial_stress(system, U[0])
     fbar_quad = defect = None
     if f is None:

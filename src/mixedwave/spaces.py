@@ -11,6 +11,15 @@ any sign bookkeeping.
 Bases are represented by monomial coefficients in cell-local scaled
 coordinates X = (x - x_c) / h_K; for affine triangles this intrinsic
 construction spans the same space as the Piola-mapped reference basis.
+
+A discrete field is its coefficient row: a stress row of length n_stress
+or a displacement row of length n_disp, or a stack of such rows.
+MixedSpace.stress_values, div_values and disp_values map rows to values
+at the cell quadrature; eval_*_basis evaluates the local bases at any
+points.  This module alone knows the stress degree-of-freedom layout:
+edge dof (l + 1) e + i is the normal moment on edge e against the i-th
+of {1, 2 xi - 1}, and for RT1 dof 2 E + 2 t + c is the integral of
+component c over cell t (see rt_interpolate).
 """
 
 import weakref
@@ -29,10 +38,6 @@ class SpaceError(Exception):
 
 class UnsupportedIndexError(SpaceError):
     """RT index outside {0, 1}."""
-
-
-class CellIndexOutOfRangeError(SpaceError):
-    pass
 
 
 # monomial exponents per RT index (shared by both vector components)
@@ -117,6 +122,8 @@ class MixedSpace:
         self.rt_index = l
         self.cell_degree = 2 * l + 4
         self.edge_degree = 2 * l + 3
+        # reference edge rule (xi, weights) on [0, 1]; see edge_quadrature
+        self.edge_rule = quadrature.segment_rule(self.edge_degree)
 
         T, E = mesh.num_cells, mesh.num_edges
         self.n_stress = E * (l + 1) + (2 * T if l == 1 else 0)
@@ -146,6 +153,10 @@ class MixedSpace:
             edge_dofs = np.stack([2 * ce, 2 * ce + 1], axis=2).reshape(T, 6)
             interior = 2 * E + 2 * np.arange(T)[:, None] + np.array([[0, 1]])
             self.cell_stress_dofs = np.hstack([edge_dofs, interior])
+        # the mesh entity of each stress dof: edge e, or cell t as E + t
+        self.stress_dof_entity = np.repeat(
+            np.arange(E + T), np.r_[np.full(E, l + 1), np.full(T, 2 * l)]
+        )
         nd = self.n_loc_disp
         self.cell_disp_dofs = nd * np.arange(T)[:, None] + np.arange(nd)[None, :]
 
@@ -263,88 +274,42 @@ class MixedSpace:
         loc = self._local_coords(cells, pts)
         return _monomials(self.disp_exponents, loc)
 
+    def edge_quadrature(self, edges=None):
+        """The space's edge rule on (a subset of) the edges.
+
+        Points run along each edge in its canonical direction.  Returns
+        (points, weights) of shapes (E, nq, 2) and (E, nq); the weights
+        include the edge lengths.
+        """
+        return quadrature.map_to_edges(self.mesh, *self.edge_rule, edges)
+
     # ------------------------------------------------------------------
-    # fields
+    # values of coefficient rows at the cell quadrature
     # ------------------------------------------------------------------
-    def stress_field(self, coefficients):
-        return StressField(self, np.asarray(coefficients, dtype=float))
+    def stress_values(self, rows):
+        """Stress rows (..., n_stress) -> values (..., T, nq, 2)."""
+        return _apply(self.stress_quad_map, rows, self.quad_points.shape)
 
-    def disp_field(self, coefficients):
-        return DispField(self, np.asarray(coefficients, dtype=float))
+    def div_values(self, rows):
+        """Stress rows (..., n_stress) -> divergence values (..., T, nq)."""
+        return _apply(self.div_quad_map, rows, self.quad_weights.shape)
 
-    def zero_stress(self):
-        return self.stress_field(np.zeros(self.n_stress))
-
-
-class StressField:
-    """RT_l field given by a global coefficient vector."""
-
-    def __init__(self, space, coefficients):
-        if coefficients.shape != (space.n_stress,):
-            raise SpaceError("stress coefficient vector has wrong length")
-        self.space = space
-        self.coefficients = coefficients
-
-    def local_coefficients(self, cells=None):
-        dofs = self.space.cell_stress_dofs
-        if cells is not None:
-            dofs = dofs[cells]
-        return self.coefficients[dofs]
-
-    def at_quad(self):
-        """Values at the space's default cell quadrature: (T, nq, 2)."""
-        space = self.space
-        values = space.stress_quad_map @ self.coefficients
-        return values.reshape(space.quad_points.shape)
-
-    def div_at_quad(self):
-        space = self.space
-        return (space.div_quad_map @ self.coefficients).reshape(space.quad_weights.shape)
-
-    def eval(self, cells, pts):
-        basis = self.space.eval_stress_basis(cells, pts)
-        return np.einsum("t...kc,tk->t...c", basis, self.local_coefficients(cells))
+    def disp_values(self, rows):
+        """Displacement rows (..., n_disp) -> values (..., T, nq)."""
+        return _apply(self.disp_quad_map, rows, self.quad_weights.shape)
 
 
-class DispField:
-    """Discontinuous P_l field given by a global coefficient vector."""
-
-    def __init__(self, space, coefficients):
-        if coefficients.shape != (space.n_disp,):
-            raise SpaceError("displacement coefficient vector has wrong length")
-        self.space = space
-        self.coefficients = coefficients
-
-    def local_coefficients(self, cells=None):
-        dofs = self.space.cell_disp_dofs
-        if cells is not None:
-            dofs = dofs[cells]
-        return self.coefficients[dofs]
-
-    def at_quad(self):
-        space = self.space
-        return (space.disp_quad_map @ self.coefficients).reshape(space.quad_weights.shape)
-
-    def eval(self, cells, pts):
-        basis = self.space.eval_disp_basis(cells, pts)
-        return np.einsum("t...a,ta->t...", basis, self.local_coefficients(cells))
-
-
-def evaluate(field, cell, point):
-    """Evaluate a field at one local point of one cell."""
-    space = field.space
-    if not 0 <= cell < space.mesh.num_cells:
-        raise CellIndexOutOfRangeError("cell {} out of range".format(cell))
-    pts = np.asarray(point, dtype=float).reshape(1, 1, 2)
-    out = field.eval(np.array([cell]), pts)
-    return np.squeeze(out, axis=(0, 1))
+def _apply(op, rows, shape):
+    rows = np.asarray(rows, dtype=float)
+    values = op @ rows.reshape(-1, rows.shape[-1]).T
+    return values.T.reshape(rows.shape[:-1] + shape)
 
 
 def l2_project_scalar(space, fn):
     """L2 projection of a scalar function onto the displacement space.
 
-    The returned field satisfies (phi - P_h phi, w_h) = 0 for all basis
-    w_h up to quadrature accuracy.
+    Returns the displacement coefficient row of P_h phi, which satisfies
+    (phi - P_h phi, w_h) = 0 for all basis w_h up to quadrature accuracy.
     """
     w = space.quad_weights
     basis = space.disp_at_quad  # (T, nq, nd)
@@ -354,31 +319,45 @@ def l2_project_scalar(space, fn):
     coef = np.linalg.solve(M, rhs[..., None])[..., 0]
     out = np.zeros(space.n_disp)
     out[space.cell_disp_dofs] = coef
-    return space.disp_field(out)
+    return out
 
 
 def fortin_interpolate(space, fn):
-    """Commuting interpolant onto RT_l: edge moments plus cell moments.
+    """Commuting interpolant onto RT_l of a vector function fn(x, y).
 
     Satisfies div(Pi_h v) = P_h(div v) up to quadrature accuracy.
+    Returns the stress coefficient row.
+    """
+    edge_pts, _ = space.edge_quadrature()
+    cell_values = _eval_vector(fn, space.quad_points) if space.rt_index else None
+    return rt_interpolate(space, _eval_vector(fn, edge_pts), cell_values)
+
+
+def rt_interpolate(space, edge_values, cell_values):
+    """RT_l degrees of freedom of a vector field from its samples.
+
+    edge_values (E, nq_e, 2, ...) are samples at space.edge_quadrature()
+    and cell_values (T, nq, 2, ...) samples at space.quad_points; the
+    trailing axes are a batch.  Edge dof (l + 1) e + i is the moment of
+    the normal trace on edge e against the i-th of {1, 2 xi - 1}, xi
+    running from 0 to 1 along the edge; for RT1, dof 2 E + 2 t + c is the
+    integral of component c over cell t (RT0 reads no cell values, which
+    may be None).
+    Returns the (n_stress, ...) degrees of freedom.
     """
     mesh, l = space.mesh, space.rt_index
-    out = np.zeros(space.n_stress)
-    tq, tw = quadrature.segment_rule(space.edge_degree)
-    pts, w = quadrature.map_to_edges(mesh, tq, tw)
-    vals = _eval_vector(fn, pts)  # (E, nq, 2)
-    vn = np.einsum("eqc,ec->eq", vals, mesh.edge_normals())
-    for i in range(l + 1):
-        q = np.ones_like(tq) if i == 0 else 2.0 * tq - 1.0
-        moments = np.einsum("eq,eq->e", w * q[None, :], vn)
-        out[(l + 1) * np.arange(mesh.num_edges) + i] = moments
+    tq, _ = space.edge_rule
+    _, w = space.edge_quadrature()
+    vn = np.einsum("eqc...,ec->eq...", edge_values, mesh.edge_normals())
+    tests = (np.ones_like(tq), 2.0 * tq - 1.0)[: l + 1]
+    moments = np.stack(
+        [np.einsum("eq,eq...->e...", w * q[None, :], vn) for q in tests], axis=1
+    )
+    parts = [moments.reshape((-1,) + moments.shape[2:])]
     if l == 1:
-        vals = _eval_vector(fn, space.quad_points)
-        cellint = np.einsum("tq,tqc->tc", space.quad_weights, vals)
-        base = 2 * mesh.num_edges
-        out[base + 2 * np.arange(mesh.num_cells)] = cellint[:, 0]
-        out[base + 2 * np.arange(mesh.num_cells) + 1] = cellint[:, 1]
-    return space.stress_field(out)
+        cellint = np.einsum("tq,tqc...->tc...", space.quad_weights, cell_values)
+        parts.append(cellint.reshape((-1,) + cellint.shape[2:]))
+    return np.concatenate(parts)
 
 
 def _eval_scalar(fn, pts):

@@ -191,7 +191,7 @@ PROBLEMS = {
 def _disp_error(space, coefficients, exact, t):
     """||U - exact(t)|| for displacement coefficients U at one node."""
     pts = space.quad_points
-    d = space.disp_field(coefficients).at_quad() - exact(pts[..., 0], pts[..., 1], t)
+    d = space.disp_values(coefficients) - exact(pts[..., 0], pts[..., 1], t)
     return disp_l2_norm(space, d)
 
 
@@ -201,7 +201,7 @@ def _stress_error(space, alpha, coefficients, exact, t):
     The pointwise quadratic form d^T alpha d is written out for 2 x 2 alpha.
     """
     pts = space.quad_points
-    d = space.stress_field(coefficients).at_quad() - exact(pts[..., 0], pts[..., 1], t)
+    d = space.stress_values(coefficients) - exact(pts[..., 0], pts[..., 1], t)
     d0, d1 = d[..., 0], d[..., 1]
     form = (
         alpha[..., 0, 0] * d0 * d0
@@ -268,33 +268,15 @@ class StudyResult:
     extras: dict = field(default_factory=dict)
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(
-                "level,h,k,err_u,err_sigma,bound_u,bound_sigma,"
-                "eff_u,eff_sigma,rate_u,rate_sigma\n"
-            )
-            for i in range(len(self.h)):
-                fh.write(
-                    ",".join(
-                        ["%d" % i]
-                        + [
-                            "%.17g" % v
-                            for v in (
-                                self.h[i],
-                                self.k[i],
-                                self.err_u[i],
-                                self.err_sigma[i],
-                                self.bound_u[i],
-                                self.bound_sigma[i],
-                                self.eff_u[i],
-                                self.eff_sigma[i],
-                                self.rate_u[i],
-                                self.rate_sigma[i],
-                            )
-                        ]
-                    )
-                    + "\n"
-                )
+        names = [
+            "h", "k", "err_u", "err_sigma", "bound_u", "bound_sigma",
+            "eff_u", "eff_sigma", "rate_u", "rate_sigma",
+        ]
+        est.write_columns(
+            path,
+            ["level"] + names,
+            [np.arange(len(self.h))] + [getattr(self, name) for name in names],
+        )
 
 
 def _rates(h, e):
@@ -485,7 +467,7 @@ def oracle_small_instance(problem=None, steps=3, rt_index=0, k=0.1):
         worst = max(worst, np.abs(sol[ns:] - traj.U[n]).max() / scale)
 
     # reconstruction: dense solve of the enriched mixed Poisson problem
-    recon = rec.reconstruct_trajectory(traj, levels=1)
+    recon = rec.reconstruct_trajectory(traj)
     fs = recon.fine_system
     Msf = fs.M_sigma.toarray()
     Bf = fs.B.toarray()

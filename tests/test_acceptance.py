@@ -87,7 +87,7 @@ def test_criterion_01_commuting_diagram(capsys):
             for fn, div in fields:
                 pi_v = fortin_interpolate(space, fn)
                 p_div = l2_project_scalar(space, div)
-                d = pi_v.div_at_quad() - p_div.at_quad()
+                d = space.div_values(pi_v) - space.disp_values(p_div)
                 gap = np.sqrt(np.einsum("tq,tq->", w, d ** 2))
                 v = fn(pts[..., 0], pts[..., 1])
                 vnorm = np.sqrt(np.einsum("tq,tqc,tqc->", w, v, v))
@@ -176,7 +176,7 @@ def test_criterion_03_c1_identities(capsys):
 def test_criterion_04_reconstruction_orthogonality(capsys, standing_run):
     # the enriched reconstruction reproduces the discrete pair on the
     # original spaces at every node (enrichment level 1, 20 steps)
-    recon = rec.reconstruct_trajectory(standing_run, levels=1)
+    recon = rec.reconstruct_trajectory(standing_run)
     worst = 0.0
     for n in range(standing_run.grid.num_steps + 1):
         scale = max(1.0, float(np.abs(standing_run.Sigma[n]).max()))

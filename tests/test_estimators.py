@@ -55,7 +55,7 @@ def test_e12_closed_form():
     space = traj.space
 
     def norm(j):
-        v = space.disp_field(traj.d2U[j]).at_quad()
+        v = space.disp_values(traj.d2U[j])
         return float(np.sqrt(np.einsum("tq,tq->", space.quad_weights, v ** 2)))
 
     expected = np.cumsum([1.5 * k[j - 1] * norm(j) for j in range(1, 5)])
@@ -161,6 +161,33 @@ def test_report_csv_roundtrip(tmp_path):
     assert len(lines) == 5
     row = dict(zip(header, lines[-1].split(",")))
     assert abs(float(row["bound_u"]) - rep.bound_u[-1]) < 1e-14
+
+
+def test_report_csv_zero_error_and_exact_floats(tmp_path):
+    traj = _traj(N=3, T=0.15)
+    err_u = np.linspace(0.0, 0.03, 4)
+    err_sigma = np.linspace(0.04, 0.01, 4)
+    rep = est.compose_report(traj, err_u=err_u, err_sigma=err_sigma)
+    path = tmp_path / "report.csv"
+    est.write_report_csv(rep, path)
+    header = path.read_text().splitlines()[0].split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    col = dict(zip(header, table.T))
+    assert col["eff_u"][0] == np.inf
+    np.testing.assert_array_equal(col["n"], np.arange(4))
+    expected = {
+        "t_n": rep.grid.nodes,
+        "bound_u": rep.bound_u,
+        "bound_sigma": rep.bound_sigma,
+        "err_u": err_u,
+        "err_sigma": err_sigma,
+        "eff_u": np.r_[np.inf, rep.bound_u[1:] / err_u[1:]],
+        "eff_sigma": rep.bound_sigma / err_sigma,
+        **rep.components,
+    }
+    assert set(expected) == set(header) - {"n"}
+    for name, values in expected.items():
+        assert np.array_equal(col[name], values), name
 
 
 def test_cellwise_csv(tmp_path):

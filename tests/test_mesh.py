@@ -26,6 +26,29 @@ def test_clockwise_cell_is_reordered():
     assert np.array_equal(a.edges, b.edges)
 
 
+def _loop_unit_square_cells(n):
+    """Reference cell list of unit_square_mesh, built square by square."""
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            c, d = (i + 1) * (n + 1) + j + 1, i * (n + 1) + j + 1
+            cells.append([a, b, c])
+            cells.append([a, c, d])
+    return cells
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unit_square_mesh_matches_loop_reference(n):
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel()])
+    ref = msh.build_mesh(vertices, _loop_unit_square_cells(n))
+    got = msh.unit_square_mesh(n)
+    for name in ("vertices", "cells", "edges", "cell_edges", "edge_cells"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 def test_euler_formula_on_grid():
     m = msh.unit_square_mesh(4)
     assert m.num_cells == 32
@@ -137,7 +160,7 @@ def test_mesh_with_a_hole_builds_and_runs():
     u1 = lambda x, y: np.zeros(np.shape(x))
     traj = solver.run(system, None, u0, u1, solver.uniform_grid(0.2, 4))
     assert energy_drift(traj) <= 1e-10
-    recon = rec.reconstruct_trajectory(traj, levels=1)
+    recon = rec.reconstruct_trajectory(traj)
     for n in range(traj.grid.num_steps + 1):
         scale = max(1.0, np.abs(traj.Sigma[n]).max())
         r1, r2 = rec.galerkin_orthogonality(recon, n)

@@ -133,11 +133,18 @@ def test_prolongation_is_exact(l):
     cs = rng.standard_normal(space.n_stress)
     cd = rng.standard_normal(space.n_disp)
     pts = enr.fine.quad_points
-    coarse = space.stress_field(cs).eval(enr.parent_of_cell, pts)
-    fine = enr.fine.stress_field(enr.P_stress @ cs).at_quad()
+    parent = enr.parent_of_cell
+    coarse = np.einsum(
+        "tqkc,tk->tqc",
+        space.eval_stress_basis(parent, pts),
+        cs[space.cell_stress_dofs[parent]],
+    )
+    fine = enr.fine.stress_values(enr.P_stress @ cs)
     assert np.abs(coarse - fine).max() < 1e-11
-    coarse_d = space.disp_field(cd).eval(enr.parent_of_cell, pts)
-    fine_d = enr.fine.disp_field(enr.P_disp @ cd).at_quad()
+    coarse_d = np.einsum(
+        "tqa,ta->tq", space.eval_disp_basis(parent, pts), cd[space.cell_disp_dofs[parent]]
+    )
+    fine_d = enr.fine.disp_values(enr.P_disp @ cd)
     assert np.abs(coarse_d - fine_d).max() < 1e-11
 
 
@@ -176,7 +183,7 @@ def test_stacked_right_hand_sides_match_single_solves(l):
 def test_galerkin_orthogonality_enriched():
     for l in (0, 1):
         traj = _standing_traj(l=l)
-        recon = rec.reconstruct_trajectory(traj, levels=1)
+        recon = rec.reconstruct_trajectory(traj)
         for n in range(traj.grid.num_steps + 1):
             scale = max(1.0, np.abs(traj.Sigma[n]).max())
             r1, r2 = rec.galerkin_orthogonality(recon, n)
@@ -200,15 +207,7 @@ def test_enriched_solution_beats_coarse():
 
         def err(spc, coeffs):
             pts = spc.quad_points
-            d = spc.disp_field(coeffs).at_quad() - uex(pts[..., 0], pts[..., 1])
+            d = spc.disp_values(coeffs) - uex(pts[..., 0], pts[..., 1])
             return float(np.sqrt((disp_l2_norm_cellwise(spc, d) ** 2).sum()))
 
         assert err(enr.fine, u_f) < err(space, u_c)
-
-
-def test_reconstruction_c1_reproduces_nodes():
-    traj = _standing_traj()
-    recon = rec.reconstruct_trajectory(traj, levels=1)
-    for n in range(traj.grid.num_steps + 1):
-        v, _, _ = rec.c1_eval(recon.c1_u, traj.grid.nodes[n])
-        assert np.abs(v - recon.u_tilde[n]).max() < 1e-11

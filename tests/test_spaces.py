@@ -3,7 +3,7 @@ import pytest
 
 from mixedwave import spaces as sp
 from mixedwave.assembly import Coefficient, estimator_operators
-from mixedwave.mesh import build_mesh, unit_square_mesh, two_triangle_square
+from mixedwave.mesh import build_mesh, unit_square_mesh
 
 
 def _poly_vector(rng, degree=3):
@@ -39,6 +39,12 @@ def _poly_vector(rng, degree=3):
     return fn, div
 
 
+def _stress_at(space, coeffs, cells, pts):
+    """Stress row `coeffs` at points (nc, nq, 2) of `cells`, from the basis."""
+    basis = space.eval_stress_basis(cells, pts)
+    return np.einsum("tqkc,tk->tqc", basis, coeffs[space.cell_stress_dofs[cells]])
+
+
 def test_unsupported_index():
     with pytest.raises(sp.UnsupportedIndexError):
         sp.MixedSpace(unit_square_mesh(2), 2)
@@ -60,7 +66,7 @@ def test_projection_reproduces_polynomials():
         fn = (lambda x, y: 0 * x + 2.0) if l == 0 else (lambda x, y: 1.0 + 2 * x - y)
         p = sp.l2_project_scalar(space, fn)
         pts = space.quad_points
-        assert np.abs(p.at_quad() - fn(pts[..., 0], pts[..., 1])).max() < 1e-12
+        assert np.abs(space.disp_values(p) - fn(pts[..., 0], pts[..., 1])).max() < 1e-12
 
 
 def test_rt0_edge_midpoint_normal_value():
@@ -81,14 +87,14 @@ def test_normal_continuity():
     for l in (0, 1):
         mesh = unit_square_mesh(3)
         space = sp.MixedSpace(mesh, l)
-        field = space.stress_field(rng.standard_normal(space.n_stress))
+        coeffs = rng.standard_normal(space.n_stress)
         interior = np.flatnonzero(~mesh.boundary_edge)
         tq = np.linspace(0.1, 0.9, 5)
         a = mesh.vertices[mesh.edges[interior, 0]]
         b = mesh.vertices[mesh.edges[interior, 1]]
         pts = a[:, None, :] + tq[None, :, None] * (b - a)[:, None, :]
-        left = field.eval(mesh.edge_cells[interior, 0], pts)
-        right = field.eval(mesh.edge_cells[interior, 1], pts)
+        left = _stress_at(space, coeffs, mesh.edge_cells[interior, 0], pts)
+        right = _stress_at(space, coeffs, mesh.edge_cells[interior, 1], pts)
         n = mesh.edge_normals()[interior]
         jump = np.einsum("eqc,ec->eq", left - right, n)
         assert np.abs(jump).max() < 1e-11
@@ -101,16 +107,9 @@ def test_commuting_diagram_single_field():
         space = sp.MixedSpace(unit_square_mesh(4), l)
         pi_v = sp.fortin_interpolate(space, fn)
         p_div = sp.l2_project_scalar(space, div)
-        d = pi_v.div_at_quad() - p_div.at_quad()
+        d = space.div_values(pi_v) - space.disp_values(p_div)
         err = np.sqrt(np.einsum("tq,tq->", space.quad_weights, d ** 2))
         assert err < 1e-11
-
-
-def test_evaluate_out_of_range():
-    space = sp.MixedSpace(two_triangle_square(), 0)
-    field = space.zero_stress()
-    with pytest.raises(sp.CellIndexOutOfRangeError):
-        sp.evaluate(field, 99, [0.5, 0.5])
 
 
 def test_broken_grad():
@@ -120,7 +119,7 @@ def test_broken_grad():
         p = sp.l2_project_scalar(space, lambda x, y: x)
         ops = estimator_operators(space, Coefficient())
         sqrt_w = np.sqrt(space.quad_weights)
-        g = (ops.grad_u @ p.coefficients).reshape(space.quad_points.shape)
+        g = (ops.grad_u @ p).reshape(space.quad_points.shape)
         assert np.abs(g[..., 0] - slope * sqrt_w).max() < 1e-12
         assert np.abs(g[..., 1]).max() < 1e-12
 
@@ -138,17 +137,31 @@ def _jittered_mesh(n, seed):
 def test_quadrature_maps_match_basis_evaluation(l):
     space = sp.MixedSpace(_jittered_mesh(5, 3), l)
     rng = np.random.default_rng(4)
-    sig = space.stress_field(rng.standard_normal(space.n_stress))
-    u = space.disp_field(rng.standard_normal(space.n_disp))
+    sig = rng.standard_normal(space.n_stress)
+    u = rng.standard_normal(space.n_disp)
     cells = np.arange(space.mesh.num_cells)
     pts = space.quad_points
     div = np.einsum(
-        "tqk,tk->tq", space.eval_div_basis(cells, pts), sig.local_coefficients()
+        "tqk,tk->tq", space.eval_div_basis(cells, pts), sig[space.cell_stress_dofs]
+    )
+    disp = np.einsum(
+        "tqa,ta->tq", space.eval_disp_basis(cells, pts), u[space.cell_disp_dofs]
     )
     for got, ref in (
-        (sig.at_quad(), sig.eval(cells, pts)),
-        (sig.div_at_quad(), div),
-        (u.at_quad(), u.eval(cells, pts)),
+        (space.stress_values(sig), _stress_at(space, sig, cells, pts)),
+        (space.div_values(sig), div),
+        (space.disp_values(u), disp),
     ):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a (2, 3, n) stack of rows maps row by row
+    for values, row in (
+        (space.stress_values, sig),
+        (space.div_values, sig),
+        (space.disp_values, u),
+    ):
+        stack = np.arange(1.0, 7.0).reshape(2, 3, 1) * row
+        got = values(stack)
+        assert got.shape == (2, 3) + values(row).shape
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(got[i, j], values(stack[i, j]))

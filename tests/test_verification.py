@@ -169,7 +169,7 @@ def test_stress_error_matches_dense_form_for_full_coefficient():
     got = ver._stress_error(space, alpha, coeffs, exact, 0.3)
 
     pts = space.quad_points
-    d = space.stress_field(coeffs).at_quad() - exact(pts[..., 0], pts[..., 1], 0.3)
+    d = space.stress_values(coeffs) - exact(pts[..., 0], pts[..., 1], 0.3)
     w = space.quad_weights
     dense = np.sqrt(np.einsum("tq,tqcd,tqc,tqd->", w, alpha, d, d))
     assert abs(got - dense) <= 1e-13 * dense
