@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .spaces import MixedSpace, _cell_rows, _eval_scalar, _scatter
+from .spaces import MixedSpace, _cell_rows, _eval_scalar
 
 
 class AssemblyError(Exception):
@@ -83,43 +83,32 @@ class SaddleSystem:
     _factor_cache: dict = field(default_factory=dict, repr=False)
 
 
+def _block_diag(blocks):
+    """Block-diagonal BSR matrix of (..., 2, 2) blocks, one per stress sample."""
+    blocks = blocks.reshape(-1, 2, 2)
+    k = np.arange(len(blocks) + 1)
+    return sp.bsr_matrix((blocks, k[:-1], k), shape=(2 * k[-1], 2 * k[-1]))
+
+
 def assemble_system(space, A=None):
-    """Assemble M_sigma, B and M_u for coefficient A (identity default)."""
+    """Assemble M_sigma, B and M_u for coefficient A (identity default).
+
+    With S, D and V the stress, divergence and displacement quadrature
+    maps and W the quadrature weights: M_sigma = S^T blk(w alpha) S,
+    B = V^T W D and M_u = V^T W V.
+    """
     coeff = as_coefficient(A)
-    w = space.quad_weights  # (T, nq)
-    sb = space.stress_at_quad  # (T, nq, nl, 2)
-    db = space.div_at_quad  # (T, nq, nl)
-    ub = space.disp_at_quad  # (T, nq, nd)
+    w = space.quad_weights
     alpha = coeff.alpha_at(space.quad_points)  # (T, nq, 2, 2)
-
-    asb = np.einsum("tqcd,tqkd->tqkc", alpha, sb)
-    Ms_loc = np.einsum("tq,tqic,tqjc->tij", w, asb, sb)
-    B_loc = np.einsum("tq,tqa,tqj->taj", w, ub, db)
-    Mu_loc = np.einsum("tq,tqa,tqb->tab", w, ub, ub)
-
-    sd = space.cell_stress_dofs
-    dd = space.cell_disp_dofs
-    n_s, n_d = space.n_stress, space.n_disp
-    M_sigma = _scatter(
-        np.repeat(sd, sd.shape[1], axis=1),
-        np.tile(sd, (1, sd.shape[1])),
-        Ms_loc,
-        (n_s, n_s),
-    )
-    B = _scatter(
-        np.repeat(dd, sd.shape[1], axis=1),
-        np.tile(sd, (1, dd.shape[1])),
-        B_loc,
-        (n_d, n_s),
-    )
-    M_u = _scatter(
-        np.repeat(dd, dd.shape[1], axis=1),
-        np.tile(dd, (1, dd.shape[1])),
-        Mu_loc,
-        (n_d, n_d),
-    )
+    S, V = space.stress_quad_map, space.disp_quad_map
+    M_sigma = S.T @ _block_diag(w[..., None, None] * alpha) @ S
+    VtW = (V.T @ sp.diags(w.ravel())).tocsr()
     return SaddleSystem(
-        space=space, coefficient=coeff, M_sigma=M_sigma, B=B, M_u=M_u
+        space=space,
+        coefficient=coeff,
+        M_sigma=M_sigma.tocsr(),
+        B=VtW @ space.div_quad_map,
+        M_u=VtW @ V,
     )
 
 
@@ -132,12 +121,12 @@ def load_of_values(space, vals):
     """Load vectors (f, w_h) from samples of f at the quadrature.
 
     vals has shape (..., T, nq); returns one row per leading index,
-    shape (..., n_disp), all from one contraction.
+    shape (..., n_disp), all from one product V^T (w f) with the
+    displacement quadrature map V.
     """
-    loc = np.einsum("tq,...tq,tqa->...ta", space.quad_weights, vals, space.disp_at_quad)
-    out = np.zeros(vals.shape[:-2] + (space.n_disp,))
-    out[..., space.cell_disp_dofs] = loc
-    return out
+    w = space.quad_weights
+    wf = (w * vals).reshape(-1, w.size)
+    return (space.disp_quad_map.T @ wf.T).T.reshape(vals.shape[:-2] + (-1,))
 
 
 def disp_l2_norm(space, vals):
@@ -207,11 +196,10 @@ def _build_estimator_operators(space, coeff):
     dofs = space.cell_stress_dofs
     pts = space.quad_points
     sqrt_w = np.sqrt(space.quad_weights)[..., None]  # (T, nq, 1)
-    sb = space.stress_at_quad  # (T, nq, nl, 2)
     alpha = coeff.alpha_at(pts)
-    alpha_sigma = _cell_rows(
-        sqrt_w[..., None] * np.einsum("tqcd,tqkd->tqck", alpha, sb), dofs, n_s
-    )
+    alpha_sigma = (
+        _block_diag(sqrt_w[..., None] * alpha) @ space.stress_quad_map
+    ).tocsr()
 
     # the RT1 displacement basis {1, X, Y}, X = (x - x_c) / h_K, has
     # gradients 0, (1/h_K, 0) and (0, 1/h_K)
@@ -239,11 +227,13 @@ def _build_estimator_operators(space, coeff):
         dofs[sides].reshape(n_int, 2 * space.n_loc_stress),
         n_s,
     )
-    cell_jump = _scatter(
-        np.repeat(sides, nq_e, axis=1),
-        np.tile(np.arange(n_int * nq_e).reshape(n_int, nq_e), 2),
-        np.repeat(0.5 * mesh.h_edge[interior], 2 * nq_e),
-        (T, n_int * nq_e),
+    samples = np.tile(np.arange(n_int * nq_e).reshape(n_int, nq_e), 2)
+    cell_jump = sp.csr_matrix(
+        (
+            np.repeat(0.5 * mesh.h_edge[interior], 2 * nq_e),
+            (np.repeat(sides, nq_e, axis=1).ravel(), samples.ravel()),
+        ),
+        shape=(T, n_int * nq_e),
     )
 
     # curl(alpha phi_k): alpha times the derivatives of phi_k, plus the
@@ -253,6 +243,7 @@ def _build_estimator_operators(space, coeff):
     ady = np.einsum("tqcd,tqkd->tqkc", alpha, grad[..., 1])
     curl = adx[..., 1] - ady[..., 0]
     if not coeff.is_constant:
+        sb = space.eval_stress_basis(np.arange(T), pts)
         step = _FD_STEP * mesh.h_cell[:, None, None]
         for d, sign in ((0, 1.0), (1, -1.0)):
             delta = step * np.eye(2)[d]

@@ -190,12 +190,15 @@ def _problem(cfg):
 
 
 def _build_space(cfg):
-    from .mesh import read_mesh, unit_square_mesh
+    from .mesh import MeshError, read_mesh, unit_square_mesh
     from .spaces import MixedSpace
 
     if cfg["mesh_files"] is not None:
         node, ele = cfg["mesh_files"].split(",")
-        mesh = read_mesh(node, ele)
+        try:
+            mesh = read_mesh(node, ele)
+        except (MeshError, OSError) as exc:
+            raise ConfigError("mesh files: {}".format(exc)) from exc
     else:
         mesh = unit_square_mesh(cfg["mesh_n"])
     return MixedSpace(mesh, cfg["rt_index"])

@@ -285,32 +285,33 @@ def two_triangle_square():
     return build_mesh(vertices, [[0, 1, 2], [0, 2, 3]])
 
 
-def _read_table(path, width):
-    rows = []
-    header = None
+def _read_table(path, width, kind):
+    """Rows of `width` numbers of type `kind` after a '<count> <width>' header."""
+    rows, count = [], None
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split()
-                if len(header) != 2 or int(header[1]) != width:
-                    raise MeshError(
-                        "bad header in {}: expected '<count> {}'".format(path, width)
-                    )
-                continue
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if len(parts) != width:
-                raise MeshError("bad row in {}: {!r}".format(path, line))
-            rows.append(parts)
-    if header is None:
+            if not parts or parts[0].startswith("#"):
+                continue
+            where = "{}, line {}: {!r}".format(path, lineno, line.strip())
+            try:
+                values = [(int if count is None else kind)(p) for p in parts]
+            except ValueError:
+                raise MeshError("bad number in " + where) from None
+            if count is None:
+                if len(values) != 2 or values[1] != width:
+                    msg = "expected header '<count> {}' in {}".format(width, where)
+                    raise MeshError(msg)
+                count = values[0]
+            elif len(values) != width:
+                raise MeshError("bad row in " + where)
+            else:
+                rows.append(values)
+    if count is None:
         raise MeshError("empty file {}".format(path))
-    if len(rows) != int(header[0]):
+    if len(rows) != count:
         raise MeshError(
-            "{}: header announces {} rows, found {}".format(
-                path, header[0], len(rows)
-            )
+            "{}: header announces {} rows, found {}".format(path, count, len(rows))
         )
     return rows
 
@@ -320,12 +321,10 @@ def read_mesh(node_path, ele_path):
 
     Node file: header line ``<V> 2`` then V lines ``x y``.  Element file:
     header ``<T> 3`` then T lines of three 0-based vertex indices.
-    Comment lines start with ``#``.
+    Comment lines start with ``#``.  Malformed files raise MeshError.
     """
-    node_rows = _read_table(node_path, 2)
-    ele_rows = _read_table(ele_path, 3)
-    vertices = np.array([[float(x) for x in r] for r in node_rows])
-    cells = np.array([[int(x) for x in r] for r in ele_rows])
+    vertices = np.array(_read_table(node_path, 2, float))
+    cells = np.array(_read_table(ele_path, 3, int))
     return build_mesh(vertices, cells)
 
 

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from .assembly import assemble_system
 from .mesh import refine_uniform
 from .solver import SingularSystemError, TimeGrid, load_vector
-from .spaces import MixedSpace, _cell_rows, rt_interpolate
+from .spaces import MixedSpace, _cell_rows, l2_project_local, rt_interpolate
 
 
 class ReconstructionError(Exception):
@@ -112,19 +112,9 @@ class EnrichedSpace:
 
 
 def _disp_prolongation(coarse, fine, parent):
-    w = fine.quad_weights
-    fb = fine.disp_at_quad  # (Tf, nq, nd)
-    cb = coarse.eval_disp_basis(parent, fine.quad_points)
-    M = np.einsum("tq,tqa,tqb->tab", w, fb, fb)
-    R = np.einsum("tq,tqa,tqb->tab", w, fb, cb)
-    P_loc = np.linalg.solve(M, R)  # (Tf, nd, nd)
-    rows = np.repeat(fine.cell_disp_dofs, coarse.n_loc_disp, axis=1)
-    cols = coarse.cell_disp_dofs[parent]
-    cols = np.tile(cols, (1, fine.n_loc_disp))
-    return sp.coo_matrix(
-        (P_loc.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(fine.n_disp, coarse.n_disp),
-    ).tocsr()
+    """Fine-space L2 projections of the coarse displacement basis, cell by cell."""
+    local = l2_project_local(fine, coarse.eval_disp_basis(parent, fine.quad_points))
+    return _cell_rows(local, coarse.cell_disp_dofs[parent], coarse.n_disp)
 
 
 def _stress_prolongation(coarse, fine, parent):

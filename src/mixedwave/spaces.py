@@ -13,17 +13,19 @@ coordinates X = (x - x_c) / h_K; for affine triangles this intrinsic
 construction spans the same space as the Piola-mapped reference basis.
 
 A discrete field is its coefficient row: a stress row of length n_stress
-or a displacement row of length n_disp, or a stack of such rows.
-MixedSpace.stress_values, div_values and disp_values map rows to values
-at the cell quadrature; eval_*_basis evaluates the local bases at any
-points.  This module alone knows the stress degree-of-freedom layout:
-edge dof (l + 1) e + i is the normal moment on edge e against the i-th
-of {1, 2 xi - 1}, and for RT1 dof 2 E + 2 t + c is the integral of
-component c over cell t (see rt_interpolate).
+or a displacement row of length n_disp, or a stack of such rows.  Each
+space builds its three sparse quadrature maps (stress_quad_map,
+div_quad_map, disp_quad_map) at construction; they are the only copy of
+the basis at the cell quadrature, and assembly, loads and estimator
+operators are products with them.  MixedSpace.stress_values, div_values
+and disp_values apply them to rows; eval_*_basis evaluates the local
+bases at any points.  This module alone knows the stress
+degree-of-freedom layout: edge dof (l + 1) e + i is the normal moment on
+edge e against the i-th of {1, 2 xi - 1}, and for RT1 dof 2 E + 2 t + c
+is the integral of component c over cell t (see rt_interpolate).
 """
 
 import weakref
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,23 +86,14 @@ def _monomials(exponents, pts_local):
     return np.stack(cols, axis=-1)
 
 
-def _scatter(rows, cols, vals, shape):
-    m = sp.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape
-    ).tocsr()
-    m.sum_duplicates()
-    return m
-
-
 def _cell_rows(loc, dofs, n_cols):
     """CSR matrix of per-cell blocks: row i of loc (T, ..., nl) acts on dofs (T, nl)."""
     n_rows = loc[..., 0].size
     cols = np.broadcast_to(
         dofs.reshape((len(dofs),) + (1,) * (loc.ndim - 2) + dofs.shape[1:]), loc.shape
     )
-    return _scatter(
-        np.repeat(np.arange(n_rows), loc.shape[-1]), cols, loc, (n_rows, n_cols)
-    )
+    rows = np.repeat(np.arange(n_rows), loc.shape[-1])
+    return sp.csr_matrix((loc.ravel(), (rows, cols.ravel())), shape=(n_rows, n_cols))
 
 
 class MixedSpace:
@@ -108,8 +101,12 @@ class MixedSpace:
 
     Immutable after construction, except for `operator_cache`, where
     assembly.estimator_operators keeps the estimator operators of each
-    Coefficient used on this space, and the quadrature maps, built on
-    first use; all evaluation methods are pure.
+    Coefficient used on this space; all evaluation methods are pure.
+
+    The quadrature maps are built here, with rows in (cell, point[,
+    component]) order: stress_quad_map (T nq 2 x n_stress), div_quad_map
+    (T nq x n_stress) and disp_quad_map (T nq x n_disp).  The space keeps
+    no other samples of its basis at quad_points.
     """
 
     def __init__(self, mesh: Mesh, rt_index: int):
@@ -137,7 +134,15 @@ class MixedSpace:
 
         self._build_dof_maps()
         self._build_nodal_basis()
-        self._build_quad_cache()
+        rp, rw = quadrature.triangle_rule(self.cell_degree)
+        self.quad_points, self.quad_weights = quadrature.map_to_cells(mesh, rp, rw)
+        cells, pts = np.arange(T), self.quad_points
+        sd, n_s = self.cell_stress_dofs, self.n_stress
+        stress = np.swapaxes(self.eval_stress_basis(cells, pts), -1, -2)
+        self.stress_quad_map = _cell_rows(stress, sd, n_s)
+        self.div_quad_map = _cell_rows(self.eval_div_basis(cells, pts), sd, n_s)
+        disp = self.eval_disp_basis(cells, pts)
+        self.disp_quad_map = _cell_rows(disp, self.cell_disp_dofs, self.n_disp)
         self.operator_cache = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
@@ -207,32 +212,6 @@ class MixedSpace:
         self.stress_div_coeff = (
             np.einsum("tjk,js->tks", C, modal_div) / h[:, None, None]
         )
-
-    def _build_quad_cache(self):
-        mesh = self.mesh
-        rp, rw = quadrature.triangle_rule(self.cell_degree)
-        pts, w = quadrature.map_to_cells(mesh, rp, rw)
-        self.quad_points = pts  # (T, nq, 2)
-        self.quad_weights = w  # (T, nq)
-        all_cells = np.arange(mesh.num_cells)
-        self.stress_at_quad = self.eval_stress_basis(all_cells, pts)
-        self.div_at_quad = self.eval_div_basis(all_cells, pts)
-        self.disp_at_quad = self.eval_disp_basis(all_cells, pts)
-
-    # Sparse maps from global coefficients to values at the cell
-    # quadrature, rows in (cell, point[, component]) order.
-    @cached_property
-    def stress_quad_map(self):
-        loc = np.swapaxes(self.stress_at_quad, -1, -2)  # (T, nq, 2, nl)
-        return _cell_rows(loc, self.cell_stress_dofs, self.n_stress)
-
-    @cached_property
-    def div_quad_map(self):
-        return _cell_rows(self.div_at_quad, self.cell_stress_dofs, self.n_stress)
-
-    @cached_property
-    def disp_quad_map(self):
-        return _cell_rows(self.disp_at_quad, self.cell_disp_dofs, self.n_disp)
 
     # ------------------------------------------------------------------
     # basis evaluation
@@ -305,18 +284,28 @@ def _apply(op, rows, shape):
     return values.T.reshape(rows.shape[:-1] + shape)
 
 
+def l2_project_local(space, values):
+    """Cellwise L2 projection of samples onto the displacement basis.
+
+    values (T, nq, ...) are samples at space.quad_points; the trailing
+    axes are a batch.  Returns the (T, n_loc_disp, ...) local coefficients
+    c with sum_q w (values - c . phi) phi = 0 on every cell.
+    """
+    w = space.quad_weights
+    phi = space.eval_disp_basis(np.arange(len(w)), space.quad_points)  # (T, nq, nd)
+    M = np.einsum("tq,tqa,tqb->tab", w, phi, phi)
+    rhs = np.einsum("tq,tqa,tq...->ta...", w, phi, values)
+    coef = np.linalg.solve(M, rhs.reshape(rhs.shape[:2] + (-1,)))
+    return coef.reshape(rhs.shape)
+
+
 def l2_project_scalar(space, fn):
     """L2 projection of a scalar function onto the displacement space.
 
     Returns the displacement coefficient row of P_h phi, which satisfies
     (phi - P_h phi, w_h) = 0 for all basis w_h up to quadrature accuracy.
     """
-    w = space.quad_weights
-    basis = space.disp_at_quad  # (T, nq, nd)
-    vals = _eval_scalar(fn, space.quad_points)
-    M = np.einsum("tq,tqa,tqb->tab", w, basis, basis)
-    rhs = np.einsum("tq,tq,tqa->ta", w, vals, basis)
-    coef = np.linalg.solve(M, rhs[..., None])[..., 0]
+    coef = l2_project_local(space, _eval_scalar(fn, space.quad_points))
     out = np.zeros(space.n_disp)
     out[space.cell_disp_dofs] = coef
     return out

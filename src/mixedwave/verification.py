@@ -35,20 +35,26 @@ class SelfCheckError(VerificationError):
 _X, _Y, _T = sym.symbols("x y t", real=True)
 
 
-def _lambdify(expr):
-    if expr == 0:
-        return None
-    return sym.lambdify((_X, _Y, _T), expr, modules="numpy", cse=True)
+def _closed_form(expr):
+    """Vectorized (x, y, t) -> values of a sympy scalar or Matrix.
 
+    Values have shape x.shape plus the matrix axes: none for a scalar,
+    (n,) for an n x 1 Matrix and the Matrix shape otherwise.  All entries
+    share one lambdified function with common subexpression elimination.
+    """
+    if isinstance(expr, sym.MatrixBase):
+        axes = (expr.rows,) if expr.cols == 1 else expr.shape
+    else:
+        axes, expr = (), sym.Matrix([expr])
+    fn = sym.lambdify((_X, _Y, _T), list(expr), modules="numpy", cse=True)
 
-def _wrap_scalar(fn):
-    if fn is None:
-        return None
+    def closed_form(x, y, t):
+        out = np.empty(np.shape(x) + (len(expr),))
+        for i, value in enumerate(fn(x, y, t)):
+            out[..., i] = value
+        return out.reshape(np.shape(x) + axes)
 
-    def wrapped(x, y, t):
-        return np.broadcast_to(np.asarray(fn(x, y, t), dtype=float), np.shape(x))
-
-    return wrapped
+    return closed_form
 
 
 @dataclass
@@ -107,47 +113,24 @@ def manufactured(name, u_expr, A_entries=None, final_time=0.5):
         coeff = Coefficient()
     else:
         A_mat = sym.Matrix(A_entries)
-        entries = [[_lambdify(A_mat[i, j]) for j in range(2)] for i in range(2)]
-
-        def A_fn(x, y, _e=entries):
-            shape = np.shape(x)
-            out = np.zeros(shape + (2, 2))
-            for i in range(2):
-                for j in range(2):
-                    fn = _e[i][j]
-                    if fn is not None:
-                        out[..., i, j] = fn(x, y, 0.0)
-            return out
-
-        coeff = Coefficient(A_fn)
+        A_fn = _closed_form(A_mat)
+        coeff = Coefficient(lambda x, y: A_fn(x, y, 0.0))
 
     grad_u = sym.Matrix([sym.diff(u_expr, _X), sym.diff(u_expr, _Y)])
     sigma_vec = -A_mat * grad_u
     div_sigma = sym.diff(sigma_vec[0], _X) + sym.diff(sigma_vec[1], _Y)
     u_tt = sym.diff(u_expr, _T, 2)
-
-    sx, sy = _lambdify(sigma_vec[0]), _lambdify(sigma_vec[1])
-
-    def sigma_fn(x, y, t):
-        shape = np.shape(x)
-        out = np.zeros(shape + (2,))
-        if sx is not None:
-            out[..., 0] = sx(x, y, t)
-        if sy is not None:
-            out[..., 1] = sy(x, y, t)
-        return out
+    f_expr = u_tt + div_sigma
 
     prob = ManufacturedProblem(
         name=name,
         A=coeff,
-        u=_wrap_scalar(_lambdify(u_expr)) or (lambda x, y, t: np.zeros(np.shape(x))),
-        u_t=_wrap_scalar(_lambdify(sym.diff(u_expr, _T)))
-        or (lambda x, y, t: np.zeros(np.shape(x))),
-        u_tt=_wrap_scalar(_lambdify(u_tt)) or (lambda x, y, t: np.zeros(np.shape(x))),
-        sigma=sigma_fn,
-        div_sigma=_wrap_scalar(_lambdify(div_sigma))
-        or (lambda x, y, t: np.zeros(np.shape(x))),
-        f=_wrap_scalar(_lambdify(u_tt + div_sigma)),
+        u=_closed_form(u_expr),
+        u_t=_closed_form(sym.diff(u_expr, _T)),
+        u_tt=_closed_form(u_tt),
+        sigma=_closed_form(sigma_vec),
+        div_sigma=_closed_form(div_sigma),
+        f=None if f_expr == 0 else _closed_form(f_expr),
         final_time=final_time,
     )
     prob.self_check()

@@ -51,6 +51,49 @@ def test_weighted_mass_matrix_value():
     assert abs(v @ (s2.M_sigma @ v) - 0.5 * v @ (s1.M_sigma @ v)) < 1e-12
 
 
+def _full_coefficient(x, y):
+    # symmetric, x-y coupled and uniformly positive definite on the unit square
+    return np.stack(
+        [np.stack([2.0 + x, y / 2], -1), np.stack([y / 2, 1.0 + y], -1)], -2
+    )
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_assembly_matches_per_cell_einsums(l):
+    # jittered 5 x 5 grid: interior vertices moved by up to h/10 per axis
+    base = unit_square_mesh(5)
+    v = np.array(base.vertices)
+    interior = np.all((v > 0.0) & (v < 1.0), axis=1)
+    v[interior] += np.random.default_rng(11).uniform(-0.02, 0.02, (interior.sum(), 2))
+    space = MixedSpace(build_mesh(v, base.cells), l)
+    coeff = asm.Coefficient(_full_coefficient)
+    system = asm.assemble_system(space, coeff)
+
+    # reference: per-cell element matrices from basis samples, scattered
+    pts, w = space.quad_points, space.quad_weights
+    cells = np.arange(space.mesh.num_cells)
+    sb = space.eval_stress_basis(cells, pts)  # (T, nq, nl, 2)
+    db = space.eval_div_basis(cells, pts)  # (T, nq, nl)
+    ub = space.eval_disp_basis(cells, pts)  # (T, nq, nd)
+    alpha = np.linalg.inv(_full_coefficient(pts[..., 0], pts[..., 1]))
+    asb = np.einsum("tqcd,tqkd->tqkc", alpha, sb)
+    sd, dd = space.cell_stress_dofs, space.cell_disp_dofs
+    blocks = [
+        (system.M_sigma, np.einsum("tq,tqic,tqjc->tij", w, asb, sb), sd, sd),
+        (system.B, np.einsum("tq,tqa,tqj->taj", w, ub, db), dd, sd),
+        (system.M_u, np.einsum("tq,tqa,tqb->tab", w, ub, ub), dd, dd),
+    ]
+    for matrix, local, rows, cols in blocks:
+        ref = np.zeros(matrix.shape)
+        np.add.at(ref, (rows[:, :, None], cols[:, None, :]), local)
+        scale = np.abs(ref).max()
+        assert np.abs(matrix.toarray() - ref).max() <= 1e-13 * scale
+    # the off-diagonal entries of A move M_sigma
+    diagonal = asm.Coefficient(lambda x, y: _full_coefficient(x, y) * np.eye(2))
+    gap = asm.assemble_system(space, diagonal).M_sigma - system.M_sigma
+    assert abs(gap).max() > 1e-3
+
+
 def _sigma_samples(op, coeffs):
     """Squares of the weighted samples an estimator operator takes of a stress row."""
     return (op @ coeffs) ** 2

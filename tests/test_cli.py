@@ -206,3 +206,29 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     )
     assert rc == 2
     assert "missing.node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", [True, False], ids=["bad-token", "directory"])
+def test_unreadable_mesh_file_is_a_config_error(tmp_path, capsys, token):
+    node, ele = tmp_path / "a.node", tmp_path / "b.ele"
+    node.write_text("4 2\n0 0\n1 0\n1 1\n0 1\n")
+    if token:
+        ele.write_text("2 3\n0 1 2\n0 2 q\n")
+    else:
+        ele.mkdir()
+    rc = cli.main(
+        [
+            "estimate",
+            "--problem",
+            "standing-wave",
+            "--mesh-files",
+            str(node),
+            str(ele),
+            "--out",
+            str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:")
+    assert ("b.ele, line 3" if token else "b.ele") in err

@@ -226,3 +226,21 @@ def test_mesh_io_row_count_mismatch(tmp_path):
     ele.write_text("1 3\n0 1 2\n")
     with pytest.raises(msh.MeshError):
         msh.read_mesh(node, ele)
+
+
+@pytest.mark.parametrize(
+    "node_text, ele_text, bad, line",
+    [
+        ("4 x\n0 0\n1 0\n1 1\n0 1\n", "2 3\n0 1 2\n0 2 3\n", "node", 1),
+        ("4 2\n0 0\n1 0\n1 q\n0 1\n", "2 3\n0 1 2\n0 2 3\n", "node", 4),
+        ("4 2\n0 0\n1 0\n1 1\n0 1\n", "2 3\n# cells\n0 1 2\n0 2 q\n", "ele", 4),
+    ],
+    ids=["header", "vertex", "cell"],
+)
+def test_mesh_io_non_numeric_token(tmp_path, node_text, ele_text, bad, line):
+    node, ele = tmp_path / "q.node", tmp_path / "q.ele"
+    node.write_text(node_text)
+    ele.write_text(ele_text)
+    # the message names the file and the line
+    with pytest.raises(msh.MeshError, match=r"q\.{}, line {}".format(bad, line)):
+        msh.read_mesh(node, ele)

@@ -119,7 +119,10 @@ def test_run_keeps_the_forcing_it_sampled(mode):
         ref = np.zeros(space.n_disp)
         np.add.at(
             ref, space.cell_disp_dofs,
-            np.einsum("tq,tq,tqa->ta", w, fbar, space.disp_at_quad),
+            np.einsum(
+                "tq,tq,tqa->ta", w, fbar,
+                space.eval_disp_basis(np.arange(len(w)), pts),
+            ),
         )
         for load in (traj.f_bar[n], load_of_values(space, fbar)):
             assert np.abs(load - ref).max() <= 1e-14 * np.abs(ref).max()
