@@ -150,7 +150,7 @@ def temporal_estimate(traj):
     is a 5-point Gauss rule in time: under "average" the run kept it
     from the samples that built f_bar^j (Trajectory.forcing_defect), so
     f is not called; under "pointwise" f is sampled here at the five
-    Gauss times of each step.
+    Gauss times of each step, in one call per step (gauss_samples).
     """
     space = traj.space
     grid = traj.grid

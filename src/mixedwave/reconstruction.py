@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import assemble_system
 from .mesh import refine_uniform
-from .solver import SingularSystemError, TimeGrid, load_vector
+from .solver import SingularSystemError, TimeGrid, ToleranceNotMetError, load_vector
 from .spaces import MixedSpace, _cell_rows, l2_project_local, rt_interpolate
 
 
@@ -173,7 +173,8 @@ def _elliptic_factor(fine_system):
             format="csc",
         )
         try:
-            fine_system._factor_cache[key] = spla.splu(K)
+            # threshold pivoting cuts fill; reconstruct_elliptic checks residuals
+            fine_system._factor_cache[key] = spla.splu(K, diag_pivot_thresh=0.1)
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
     return fine_system._factor_cache[key]
@@ -187,17 +188,27 @@ def reconstruct_elliptic(fine_system, rhs_disp):
     `rhs_disp` is already a load vector over the enriched displacement
     basis, or an (m, n_disp) stack of them, solved together in one
     multi-right-hand-side solve.  Returns (u_t, sigma_t) coefficient
-    vectors, stacked in rows like `rhs_disp`.
+    vectors, stacked in rows like `rhs_disp`.  Algebraic residuals above
+    1e-10 relative raise ToleranceNotMetError, as in solver.step.
     """
     lu = _elliptic_factor(fine_system)
     n_s = fine_system.space.n_stress
     rhs_disp = np.asarray(rhs_disp, dtype=float)
     rhs = np.zeros((n_s + rhs_disp.shape[-1],) + rhs_disp.shape[:-1], order="F")
     rhs[n_s:] = rhs_disp.T
-    sol = lu.solve(rhs).T
+    sol = lu.solve(rhs)
+    del rhs  # frees room for the residual check's temporaries
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("reconstruction solve produced non-finite values")
-    return sol[..., n_s:], sol[..., :n_s]
+    sigma, u = sol[:n_s], sol[n_s:]
+    r1 = fine_system.M_sigma @ sigma
+    scale = np.maximum(np.abs(r1).max(axis=0), np.abs(rhs_disp.T).max(axis=0))
+    r1 -= fine_system.B.T @ u
+    r2 = fine_system.B @ sigma - rhs_disp.T
+    resid = np.maximum(np.abs(r1).max(axis=0), np.abs(r2).max(axis=0))
+    if np.any(resid > 1e-10 * scale):
+        raise ToleranceNotMetError("reconstruction residual exceeds 1e-10 relative")
+    return u.T, sigma.T
 
 
 @dataclass

@@ -92,8 +92,9 @@ class Trajectory:
     f_bar^n again: fbar_quad holds f_bar^n at space.quad_points, shape
     (N+1, T, nq), and, under "average", forcing_defect holds the step
     integrals int_{I_n} ||f_bar^n - f|| of the 5-point Gauss rule on the
-    samples that built f_bar^n (entry 0 is zero).  Both are None when
-    f is None; forcing_defect is None under "pointwise" too.
+    samples that built f_bar^n (entry 0 is zero), f being called once per
+    node.  Both are None when f is None; forcing_defect is None under
+    "pointwise" too.
     """
 
     grid: TimeGrid
@@ -215,13 +216,14 @@ def _sample(f, pts, shape, t):
 
 
 def gauss_samples(f, pts, t_prev, t_n):
-    """(weight, f at that time) at the 5 Gauss times of (t_prev, t_n]."""
+    """f at the 5 Gauss times of (t_prev, t_n], shape (5,) + pts.shape[:-1].
+
+    One f call: the times, of shape (5, 1, ..., 1), broadcast against
+    the points, so f must accept an array t that broadcasts against x.
+    """
     shape = pts.shape[:-1]
-    k = t_n - t_prev
-    return [
-        (w, _sample(f, pts, shape, t_prev + tau * k))
-        for tau, w in zip(_TIME_PTS, _TIME_WTS)
-    ]
+    t = (t_prev + _TIME_PTS * (t_n - t_prev)).reshape((-1,) + (1,) * len(shape))
+    return _sample(f, pts, t.shape[:1] + shape, t)
 
 
 def sample_forcing(f, pts, t_prev, t_n, forcing_mode):
@@ -229,23 +231,25 @@ def sample_forcing(f, pts, t_prev, t_n, forcing_mode):
 
     f_bar^n is f(., t_n) under "pointwise" and, under "average", the
     5-point Gauss mean of f over the step; the empty step of node 0
-    (t_prev = t_n) gives f(., t_n) under both.  Returns (f_bar, samples),
-    samples being the gauss_samples the average was built from (none
-    under "pointwise" or on node 0).  f = None is f = 0, with no samples.
+    (t_prev = t_n) gives f(., t_n) under both, in one f call.  Returns
+    (f_bar, samples), samples being the gauss_samples stack the average
+    was built from (None under "pointwise" or on node 0).  f = None is
+    f = 0, with no samples.
     """
     _check_forcing_mode(forcing_mode)
     shape = pts.shape[:-1]
     if f is None:
-        return np.zeros(shape), []
+        return np.zeros(shape), None
     if forcing_mode == "pointwise" or t_n == t_prev:
-        return _sample(f, pts, shape, t_n), []
+        return _sample(f, pts, shape, t_n), None
     samples = gauss_samples(f, pts, t_prev, t_n)
-    return sum(w * fs for w, fs in samples), samples
+    return sum(w * fs for w, fs in zip(_TIME_WTS, samples)), samples
 
 
 def step_defect(space, k, fbar, samples):
     """int_{I_n} ||f_bar^n - f||: the Gauss rule in time on `samples`."""
-    return sum(w * k * disp_l2_norm(space, fbar - fs) for w, fs in samples)
+    norms = [disp_l2_norm(space, fbar - fs) for fs in samples]
+    return sum(w * k * norm for w, norm in zip(_TIME_WTS, norms))
 
 
 def load_vector(system, f, t_prev, t_n, forcing_mode):
@@ -260,8 +264,8 @@ def load_vector(system, f, t_prev, t_n, forcing_mode):
 def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
     """Run the fully discrete scheme over `grid`; returns a Trajectory.
 
-    f_bar^n is sampled once per node at the space quadrature (see
-    Trajectory for what the run keeps of it).
+    f_bar^n is sampled with one f call per node at the space quadrature
+    (see Trajectory for what the run keeps of it).
     """
     _check_forcing_mode(forcing_mode)
     space = system.space
@@ -284,7 +288,7 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
             fbar_quad[n], samples = sample_forcing(
                 f, space.quad_points, *grid.interval(n), forcing_mode
             )
-            if samples:
+            if samples is not None:
                 defect[n] = step_defect(space, grid.steps[n - 1], fbar_quad[n], samples)
         f_bar = load_of_values(space, fbar_quad)
     for n in range(1, N + 1):

@@ -38,9 +38,11 @@ _X, _Y, _T = sym.symbols("x y t", real=True)
 def _closed_form(expr):
     """Vectorized (x, y, t) -> values of a sympy scalar or Matrix.
 
-    Values have shape x.shape plus the matrix axes: none for a scalar,
-    (n,) for an n x 1 Matrix and the Matrix shape otherwise.  All entries
-    share one lambdified function with common subexpression elimination.
+    x, y and t broadcast (t of shape (m, 1, ..., 1) gives m times in one
+    call).  Values have the broadcast shape plus the matrix axes: none for
+    a scalar, (n,) for an n x 1 Matrix and the Matrix shape otherwise.  All
+    entries share one lambdified function with common subexpression
+    elimination.
     """
     if isinstance(expr, sym.MatrixBase):
         axes = (expr.rows,) if expr.cols == 1 else expr.shape
@@ -49,10 +51,11 @@ def _closed_form(expr):
     fn = sym.lambdify((_X, _Y, _T), list(expr), modules="numpy", cse=True)
 
     def closed_form(x, y, t):
-        out = np.empty(np.shape(x) + (len(expr),))
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+        out = np.empty(shape + (len(expr),))
         for i, value in enumerate(fn(x, y, t)):
             out[..., i] = value
-        return out.reshape(np.shape(x) + axes)
+        return out.reshape(shape + axes)
 
     return closed_form
 
@@ -61,10 +64,12 @@ def _closed_form(expr):
 class ManufacturedProblem:
     """Closed-form exact solution of u_tt - div(A grad u) = f.
 
-    All callables take (x, y, t) arrays; sigma returns shape
-    x.shape + (2,) and A is a Coefficient.  f and div_sigma evaluate the
-    unsimplified derived expressions.  f is None when the derived sum
-    u_tt + div sigma cancels term by term (no simplification is tried).
+    All callables take (x, y, t) arrays that broadcast against each other
+    (the solver passes a step's five Gauss times as t of shape (5, 1, 1));
+    sigma returns the broadcast shape + (2,) and A is a Coefficient.  f
+    and div_sigma evaluate the unsimplified derived expressions.  f is
+    None when the derived sum u_tt + div sigma cancels term by term (no
+    simplification is tried).
     """
 
     name: str

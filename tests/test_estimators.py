@@ -7,7 +7,7 @@ import pytest
 
 from mixedwave import assembly as asm
 from mixedwave import estimators as est
-from mixedwave import solver
+from mixedwave import quadrature, solver
 from mixedwave.assembly import Coefficient, assemble_system
 from mixedwave.mesh import unit_square_mesh
 from mixedwave.spaces import MixedSpace
@@ -81,17 +81,25 @@ def test_forcing_defect_positive_for_time_dependent_f():
     assert te.e24[-1] > 0.0
 
 
-@pytest.mark.parametrize("mode, per_step", [("average", 0), ("pointwise", 5)])
+@pytest.mark.parametrize("mode, per_step", [("average", 0), ("pointwise", 1)])
 def test_temporal_estimate_samples_f_once_per_time(mode, per_step):
     # f_bar^j and, under "average", the forcing defect come from the run;
     # under "pointwise" the defect samples the five Gauss times of each
-    # step.  The strong residual reads the run's f_bar^j and calls no f.
+    # step in one call.  The strong residual reads the run's f_bar^j and
+    # calls no f.
     f = lambda x, y, t: np.cos(5 * t) * (x + y)
     traj = _traj(N=8, T=0.4, f=f, forcing_mode=mode)
     times = []
     traj.f = lambda x, y, t: times.append(t) or f(x, y, t)
     est.temporal_estimate(traj)
     assert len(times) == per_step * 8
+    tau, _ = quadrature.segment_rule(9)
+    for j, t in enumerate(times, start=1):
+        t_prev, t_j = traj.grid.interval(j)
+        assert np.shape(t) == (5, 1, 1)
+        np.testing.assert_allclose(
+            np.ravel(t), t_prev + tau * (t_j - t_prev), rtol=1e-15, atol=0.0
+        )
     for n in range(9):
         est.r2_strong_values(traj, n)
     assert len(times) == per_step * 8

@@ -180,6 +180,26 @@ def test_stacked_right_hand_sides_match_single_solves(l):
         np.testing.assert_allclose(s[row], s1, rtol=1e-12, atol=1e-12 * np.abs(s1).max())
 
 
+def test_reconstruction_solve_checks_its_residual(monkeypatch):
+    # a factor whose solutions are off by 1e-8 relative trips the 1e-10
+    # residual check; the exact factor passes it
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space)
+    rhs = np.random.default_rng(3).standard_normal((5, space.n_disp))
+    rec.reconstruct_elliptic(system, rhs)
+    lu = rec._elliptic_factor(system)
+
+    class Perturbed:
+        def solve(self, b):
+            return lu.solve(b) * (1.0 + 1e-8)
+
+    monkeypatch.setitem(system._factor_cache, "elliptic", Perturbed())
+    with pytest.raises(solver.ToleranceNotMetError, match="1e-10"):
+        rec.reconstruct_elliptic(system, rhs)
+    with pytest.raises(solver.ToleranceNotMetError):
+        rec.reconstruct_elliptic(system, rhs[0])
+
+
 def test_galerkin_orthogonality_enriched():
     for l in (0, 1):
         traj = _standing_traj(l=l)

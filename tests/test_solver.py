@@ -111,9 +111,16 @@ def test_run_keeps_the_forcing_it_sampled(mode):
     grid = solver.TimeGrid(np.array([0.0, 0.05, 0.15, 0.2, 0.3]))
     traj = solver.run(system, f, u0, u1, grid, forcing_mode=mode)
     pts, w = space.quad_points, space.quad_weights
+    x, y = pts[..., 0], pts[..., 1]
+    tau, wts = quadrature.segment_rule(9)
     assert traj.fbar_quad.shape == (5,) + w.shape
     for n in range(5):
-        fbar, _ = solver.sample_forcing(f, pts, *grid.interval(n), mode)
+        # oracle: a loop of scalar-t calls, summed in the run's order
+        t0, t1 = grid.interval(n)
+        if mode == "pointwise" or n == 0:
+            fbar = f(x, y, t1)
+        else:
+            fbar = sum(wj * f(x, y, t0 + s * (t1 - t0)) for s, wj in zip(tau, wts))
         np.testing.assert_array_equal(traj.fbar_quad[n], fbar)
         # load vector oracle: per-cell integrals against the local basis
         ref = np.zeros(space.n_disp)
@@ -130,7 +137,6 @@ def test_run_keeps_the_forcing_it_sampled(mode):
     if mode == "pointwise":
         assert traj.forcing_defect is None
         return
-    tau, wts = quadrature.segment_rule(9)
     expected = [0.0]
     for n in range(1, 5):
         t0, t1 = grid.interval(n)
@@ -141,6 +147,16 @@ def test_run_keeps_the_forcing_it_sampled(mode):
             wj * k * np.sqrt(np.sum(w * (mean - gj) ** 2)) for wj, gj in zip(wts, g)
         ))
     np.testing.assert_allclose(traj.forcing_defect, expected, rtol=1e-13, atol=0.0)
+
+
+def test_gauss_samples_of_a_time_independent_f():
+    # a forcing that ignores t and returns x.shape still gives the stack
+    pts = MixedSpace(unit_square_mesh(3), 1).quad_points
+    f = lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y)
+    samples = solver.gauss_samples(f, pts, 0.1, 0.2)
+    assert samples.shape == (5,) + pts.shape[:-1]
+    for fs in samples:
+        np.testing.assert_array_equal(fs, f(pts[..., 0], pts[..., 1], 0.0))
 
 
 def test_run_rejects_unknown_forcing_mode_without_forcing():

@@ -75,6 +75,20 @@ def test_registration_does_not_simplify(monkeypatch):
     assert ver.standing_wave().f is None
 
 
+@pytest.mark.parametrize("name", sorted(ver.PROBLEMS))
+def test_closed_forms_broadcast_time_against_points(name):
+    # t of shape (5, 1, 1) against the (T, nq) cell quadrature gives the
+    # five scalar-t evaluations, bit for bit
+    p = ver.PROBLEMS[name]()
+    pts = MixedSpace(unit_square_mesh(3), 1).quad_points
+    x, y = pts[..., 0], pts[..., 1]
+    times = 0.1 + 0.05 * np.array([0.05, 0.23, 0.5, 0.77, 0.95])
+    closed_forms = [p.u, p.u_t, p.u_tt, p.sigma, p.div_sigma, p.f]
+    for fn in filter(None, closed_forms):
+        stacked = fn(x, y, times.reshape(5, 1, 1))
+        np.testing.assert_array_equal(stacked, np.stack([fn(x, y, t) for t in times]))
+
+
 def test_true_error_zero_for_projected_exact_data():
     # evaluate the error of the projected initial data at t = 0 only:
     # the projections are the best approximations, errors are O(h) small
