@@ -9,8 +9,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import sympy as sym
 
 from .spaces import MixedSpace, _cell_rows, _eval_scalar
+
+_X, _Y, _T = sym.symbols("x y t", real=True)
+
+
+def _closed_form(expr):
+    """Vectorized (x, y, t) -> values of a sympy scalar or Matrix.
+
+    x, y and t broadcast (t of shape (m, 1, ..., 1) gives m times in one
+    call).  Values have the broadcast shape plus the matrix axes: none for
+    a scalar, (n,) for an n x 1 Matrix and the Matrix shape otherwise.  All
+    entries share one lambdified function with common subexpression
+    elimination.
+    """
+    if isinstance(expr, sym.MatrixBase):
+        axes = (expr.rows,) if expr.cols == 1 else expr.shape
+    else:
+        axes, expr = (), sym.Matrix([expr])
+    fn = sym.lambdify((_X, _Y, _T), list(expr), modules="numpy", cse=True)
+
+    def closed_form(x, y, t):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+        out = np.empty(shape + (len(expr),))
+        for i, value in enumerate(fn(x, y, t)):
+            out[..., i] = value
+        return out.reshape(shape + axes)
+
+    return closed_form
 
 
 class AssemblyError(Exception):
@@ -24,42 +52,55 @@ class CoefficientNotSPDError(AssemblyError):
 class Coefficient:
     """Symmetric uniformly positive definite coefficient A(x).
 
-    `entries` is either None (identity), a constant (2, 2) array, or a
-    callable (x, y) -> array of shape x.shape + (2, 2).
+    `entries` is None (identity), a constant (2, 2) array, or a symmetric
+    2 x 2 sympy Matrix in x and y, matched by name.  A variable A is
+    lambdified here, and its derivatives on the first dalpha_at.
     """
 
     def __init__(self, entries=None):
         if callable(entries):
-            self.kind = "callable"
-            self.fn = entries
+            raise AssemblyError(
+                "A must be None, a constant 2x2 array or a sympy Matrix in x and y"
+            )
+        self.expr = self._dA = None
+        if isinstance(entries, sym.MatrixBase) and entries.free_symbols:
+            other = entries.free_symbols - {_X, _Y}
+            A = entries.xreplace({s: sym.Symbol(s.name, real=True) for s in other})
+            if not A.free_symbols <= {_X, _Y}:
+                raise AssemblyError("A may depend on x and y only, not on {}".format(
+                    A.free_symbols - {_X, _Y}))
+            if A.shape != (2, 2) or A[0, 1] != A[1, 0]:
+                raise AssemblyError("A must be a symmetric 2x2 Matrix, got {}".format(A))
+            self.expr, self._A = A, _closed_form(A)
         else:
             A = np.eye(2) if entries is None else np.asarray(entries, dtype=float)
             if A.shape != (2, 2) or not np.allclose(A, A.T):
                 raise AssemblyError("constant coefficient must be symmetric 2x2")
-            self.kind = "constant"
-            self.A = A
+            self._A = lambda x, y, t: np.broadcast_to(A, np.shape(x) + (2, 2))
 
     @property
     def is_constant(self):
-        return self.kind == "constant"
-
-    def a_at(self, pts):
-        """A at points (..., 2) -> (..., 2, 2)."""
-        shape = pts.shape[:-1]
-        if self.kind == "constant":
-            return np.broadcast_to(self.A, shape + (2, 2)).copy()
-        A = np.asarray(self.fn(pts[..., 0], pts[..., 1]), dtype=float)
-        return np.broadcast_to(A, shape + (2, 2)).copy()
+        return self.expr is None
 
     def alpha_at(self, pts):
-        """alpha = A^-1 at points, with an SPD check."""
-        A = self.a_at(pts)
-        tr = A[..., 0, 0] + A[..., 1, 1]
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
-        if np.any(tr / 2 - disc <= 0.0):
+        """alpha = adj(A) / det(A) at points (..., 2) -> (..., 2, 2), if A is SPD."""
+        A = self._A(pts[..., 0], pts[..., 1], 0.0)
+        a, b, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+        det = a * d - b * b
+        if np.any(a <= 0.0) or np.any(det <= 0.0):
             raise CoefficientNotSPDError("A has a non-positive eigenvalue")
-        return np.linalg.inv(A)
+        adj = np.stack([np.stack([d, -b], -1), np.stack([-b, a], -1)], -2)
+        return adj / det[..., None, None]
+
+    def dalpha_at(self, pts):
+        """(d_x alpha, d_y alpha) = -alpha (dA) alpha at points: (2, ..., 2, 2)."""
+        if self.is_constant:
+            return np.zeros((2,) + pts.shape[:-1] + (2, 2))
+        if self._dA is None:
+            self._dA = _closed_form(self.expr.diff(_X).col_join(self.expr.diff(_Y)))
+        dA = self._dA(pts[..., 0], pts[..., 1], 0.0).reshape(pts.shape[:-1] + (2, 2, 2))
+        alpha = self.alpha_at(pts)
+        return -alpha @ np.moveaxis(dA, -3, 0) @ alpha
 
 
 def as_coefficient(A):
@@ -142,11 +183,6 @@ def disp_l2_norm_cellwise(space, vals):
 # estimator ingredients
 # ----------------------------------------------------------------------
 
-# Step of the central differences of alpha in the curl operator, relative
-# to h_K (see EstimatorOperators).
-_FD_STEP = 1e-6
-
-
 @dataclass(frozen=True)
 class EstimatorOperators:
     """Sparse linear maps whose images the spatial estimator measures.
@@ -163,10 +199,8 @@ class EstimatorOperators:
     cell_jump : (T, n_interior * nq_edge) map from squared jump samples to
         sum_E h_E / 2 int_E |jump|^2 over the interior edges E of a cell
     curl : curl_h(alpha Sigma_h) = d1 g2 - d2 g1 of g = alpha Sigma_h at
-        the cell quadrature, rows (T, nq).  Stress derivatives are exact.
-        Only A(x) is given, so for non-constant A the derivative of alpha
-        is a central difference with step 1e-6 h_K: truncation error
-        O(step^2), round-off O(eps / step).
+        the cell quadrature, rows (T, nq).  The derivatives of the stress
+        basis and of alpha (Coefficient.dalpha_at) are exact.
     """
 
     alpha_sigma: sp.csr_matrix
@@ -236,21 +270,16 @@ def _build_estimator_operators(space, coeff):
         shape=(T, n_int * nq_e),
     )
 
-    # curl(alpha phi_k): alpha times the derivatives of phi_k, plus the
-    # derivatives of alpha times phi_k
+    # curl(g) = d_x g_2 - d_y g_1 of g = alpha phi_k: alpha times the
+    # derivatives of phi_k, plus the derivatives of alpha times phi_k
+    rows = "tqd,tqkd->tqk"
     grad = space.eval_stress_grad_basis(np.arange(T), pts)
-    adx = np.einsum("tqcd,tqkd->tqkc", alpha, grad[..., 0])
-    ady = np.einsum("tqcd,tqkd->tqkc", alpha, grad[..., 1])
-    curl = adx[..., 1] - ady[..., 0]
+    curl = np.einsum(rows, alpha[..., 1, :], grad[..., 0])
+    curl -= np.einsum(rows, alpha[..., 0, :], grad[..., 1])
     if not coeff.is_constant:
         sb = space.eval_stress_basis(np.arange(T), pts)
-        step = _FD_STEP * mesh.h_cell[:, None, None]
-        for d, sign in ((0, 1.0), (1, -1.0)):
-            delta = step * np.eye(2)[d]
-            ap = coeff.alpha_at(pts + delta)
-            am = coeff.alpha_at(pts - delta)
-            dalpha = (ap - am) / (2.0 * step[..., None])
-            curl = curl + sign * np.einsum("tqcd,tqkd->tqkc", dalpha, sb)[..., 1 - d]
+        dx, dy = coeff.dalpha_at(pts)
+        curl += np.einsum(rows, dx[..., 1, :], sb) - np.einsum(rows, dy[..., 0, :], sb)
     curl = _cell_rows(sqrt_w * curl, dofs, n_s)
     return EstimatorOperators(
         alpha_sigma=alpha_sigma, grad_u=grad_u, jump=jump, cell_jump=cell_jump, curl=curl

@@ -87,13 +87,19 @@ def _monomials(exponents, pts_local):
 
 
 def _cell_rows(loc, dofs, n_cols):
-    """CSR matrix of per-cell blocks: row i of loc (T, ..., nl) acts on dofs (T, nl)."""
-    n_rows = loc[..., 0].size
+    """CSR matrix of per-cell blocks: row i of loc (T, ..., nl) acts on dofs (T, nl).
+
+    Every row holds nl entries in local order; a dof repeated within a
+    row (both sides of an edge) stays a duplicate, which products sum.
+    """
+    nl = loc.shape[-1]
     cols = np.broadcast_to(
         dofs.reshape((len(dofs),) + (1,) * (loc.ndim - 2) + dofs.shape[1:]), loc.shape
     )
-    rows = np.repeat(np.arange(n_rows), loc.shape[-1])
-    return sp.csr_matrix((loc.ravel(), (rows, cols.ravel())), shape=(n_rows, n_cols))
+    indptr = np.arange(0, loc.size + 1, nl)
+    return sp.csr_matrix(
+        (loc.ravel(), cols.ravel(), indptr), shape=(len(indptr) - 1, n_cols)
+    )
 
 
 class MixedSpace:
@@ -206,12 +212,15 @@ class MixedSpace:
             D[:, 6, :] = np.einsum("tq,tqm->tm", w, vals[..., 0])
             D[:, 7, :] = np.einsum("tq,tqm->tm", w, vals[..., 1])
 
-        C = np.linalg.inv(D)  # nodal_k = sum_j C[t, j, k] modal_j
-        self.stress_coeff = np.einsum("tjk,jcs->tkcs", C, modal)  # (T, nl, 2, n_mono)
-        h = mesh.h_cell
-        self.stress_div_coeff = (
-            np.einsum("tjk,js->tks", C, modal_div) / h[:, None, None]
+        # nodal_k = sum_j C[t, j, k] modal_j with C = D^-1, so the nodal
+        # coefficients are D^-T times the modal ones: one solve, no inverse
+        n_mono = modal.shape[-1]
+        rhs = np.concatenate([modal.reshape(n_modal, -1), modal_div], axis=1)
+        coef = np.linalg.solve(
+            np.swapaxes(D, 1, 2), np.broadcast_to(rhs, (T,) + rhs.shape)
         )
+        self.stress_coeff = coef[..., : 2 * n_mono].reshape(T, nl, 2, n_mono)
+        self.stress_div_coeff = coef[..., 2 * n_mono :] / mesh.h_cell[:, None, None]
 
     # ------------------------------------------------------------------
     # basis evaluation

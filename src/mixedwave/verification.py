@@ -19,7 +19,9 @@ import sympy as sym
 from . import estimators as est
 from . import reconstruction as rec
 from . import solver
-from .assembly import Coefficient, assemble_system, disp_l2_norm
+from .assembly import (
+    _T, _X, _Y, Coefficient, _closed_form, assemble_system, disp_l2_norm,
+)
 from .mesh import unit_square_mesh
 from .spaces import MixedSpace
 
@@ -30,34 +32,6 @@ class VerificationError(Exception):
 
 class SelfCheckError(VerificationError):
     """Manufactured closed forms do not satisfy the strong equation."""
-
-
-_X, _Y, _T = sym.symbols("x y t", real=True)
-
-
-def _closed_form(expr):
-    """Vectorized (x, y, t) -> values of a sympy scalar or Matrix.
-
-    x, y and t broadcast (t of shape (m, 1, ..., 1) gives m times in one
-    call).  Values have the broadcast shape plus the matrix axes: none for
-    a scalar, (n,) for an n x 1 Matrix and the Matrix shape otherwise.  All
-    entries share one lambdified function with common subexpression
-    elimination.
-    """
-    if isinstance(expr, sym.MatrixBase):
-        axes = (expr.rows,) if expr.cols == 1 else expr.shape
-    else:
-        axes, expr = (), sym.Matrix([expr])
-    fn = sym.lambdify((_X, _Y, _T), list(expr), modules="numpy", cse=True)
-
-    def closed_form(x, y, t):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
-        out = np.empty(shape + (len(expr),))
-        for i, value in enumerate(fn(x, y, t)):
-            out[..., i] = value
-        return out.reshape(shape + axes)
-
-    return closed_form
 
 
 @dataclass
@@ -108,19 +82,13 @@ class ManufacturedProblem:
 def manufactured(name, u_expr, A_entries=None, final_time=0.5):
     """Register a problem from sympy expressions in (x, y, t).
 
-    A_entries is a 2x2 nested list of sympy expressions (identity when
-    None); sigma and f are derived symbolically, lambdified unsimplified
-    with common subexpression elimination, and the result is self-checked
-    at 100 random samples.
+    A_entries is a 2x2 nested list of sympy expressions in x and y
+    (identity when None).  Its Matrix is both the Coefficient and the A
+    of sigma = -A grad u; sigma and f are derived symbolically,
+    lambdified unsimplified with common subexpression elimination, and
+    the result is self-checked at 100 random samples.
     """
-    if A_entries is None:
-        A_mat = sym.eye(2)
-        coeff = Coefficient()
-    else:
-        A_mat = sym.Matrix(A_entries)
-        A_fn = _closed_form(A_mat)
-        coeff = Coefficient(lambda x, y: A_fn(x, y, 0.0))
-
+    A_mat = sym.eye(2) if A_entries is None else sym.Matrix(A_entries)
     grad_u = sym.Matrix([sym.diff(u_expr, _X), sym.diff(u_expr, _Y)])
     sigma_vec = -A_mat * grad_u
     div_sigma = sym.diff(sigma_vec[0], _X) + sym.diff(sigma_vec[1], _Y)
@@ -129,7 +97,7 @@ def manufactured(name, u_expr, A_entries=None, final_time=0.5):
 
     prob = ManufacturedProblem(
         name=name,
-        A=coeff,
+        A=Coefficient(A_mat),
         u=_closed_form(u_expr),
         u_t=_closed_form(sym.diff(u_expr, _T)),
         u_tt=_closed_form(u_tt),

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import sympy as sym
 
 from mixedwave import assembly as asm
+from mixedwave import spaces
 from mixedwave.estimators import spatial_estimate
 from mixedwave.mesh import build_mesh, two_triangle_square, unit_square_mesh
 from mixedwave.spaces import MixedSpace, fortin_interpolate, l2_project_scalar
+
+_x, _y = asm._X, asm._Y
 
 
 def test_mass_matrix_total_is_domain_area():
@@ -30,11 +35,10 @@ def test_divergence_matrix_full_rank():
 
 def test_spd_check_rejects_indefinite_coefficient():
     space = MixedSpace(two_triangle_square(), 0)
-    bad = asm.Coefficient(lambda x, y: np.broadcast_to(
-        np.array([[1.0, 0.0], [0.0, -1.0]]), np.shape(x) + (2, 2)
-    ))
-    with pytest.raises(asm.CoefficientNotSPDError):
-        asm.assemble_system(space, bad)
+    # constant, and variable with A_22 = x - 2 < 0 on the unit square
+    for A in (sym.Matrix([[1, 0], [0, -1]]), sym.Matrix([[1, 0], [0, _x - 2]])):
+        with pytest.raises(asm.CoefficientNotSPDError):
+            asm.assemble_system(space, asm.Coefficient(A))
 
 
 def test_constant_coefficient_must_be_symmetric():
@@ -51,22 +55,33 @@ def test_weighted_mass_matrix_value():
     assert abs(v @ (s2.M_sigma @ v) - 0.5 * v @ (s1.M_sigma @ v)) < 1e-12
 
 
-def _full_coefficient(x, y):
-    # symmetric, x-y coupled and uniformly positive definite on the unit square
-    return np.stack(
-        [np.stack([2.0 + x, y / 2], -1), np.stack([y / 2, 1.0 + y], -1)], -2
-    )
+# symmetric, x-y coupled and uniformly positive definite on the unit square
+_FULL = sym.Matrix([[2 + _x, _y / 2], [_y / 2, 1 + _y]])
+
+
+def _values(A, pts):
+    """Values of a sympy Matrix in x, y at points (..., 2), entry by entry."""
+    x, y = pts[..., 0], pts[..., 1]
+    rows = [
+        [np.broadcast_to(sym.lambdify((_x, _y), a)(x, y), x.shape) for a in row]
+        for row in A.tolist()
+    ]
+    return np.moveaxis(np.array(rows, dtype=float), (0, 1), (-2, -1))
+
+
+def _jittered_mesh(n):
+    """n x n grid with interior vertices moved by up to h/10 per axis."""
+    base = unit_square_mesh(n)
+    v = np.array(base.vertices)
+    interior = np.all((v > 0.0) & (v < 1.0), axis=1)
+    v[interior] += np.random.default_rng(11).uniform(-0.1 / n, 0.1 / n, (interior.sum(), 2))
+    return build_mesh(v, base.cells)
 
 
 @pytest.mark.parametrize("l", [0, 1])
 def test_assembly_matches_per_cell_einsums(l):
-    # jittered 5 x 5 grid: interior vertices moved by up to h/10 per axis
-    base = unit_square_mesh(5)
-    v = np.array(base.vertices)
-    interior = np.all((v > 0.0) & (v < 1.0), axis=1)
-    v[interior] += np.random.default_rng(11).uniform(-0.02, 0.02, (interior.sum(), 2))
-    space = MixedSpace(build_mesh(v, base.cells), l)
-    coeff = asm.Coefficient(_full_coefficient)
+    space = MixedSpace(_jittered_mesh(5), l)
+    coeff = asm.Coefficient(_FULL)
     system = asm.assemble_system(space, coeff)
 
     # reference: per-cell element matrices from basis samples, scattered
@@ -75,7 +90,7 @@ def test_assembly_matches_per_cell_einsums(l):
     sb = space.eval_stress_basis(cells, pts)  # (T, nq, nl, 2)
     db = space.eval_div_basis(cells, pts)  # (T, nq, nl)
     ub = space.eval_disp_basis(cells, pts)  # (T, nq, nd)
-    alpha = np.linalg.inv(_full_coefficient(pts[..., 0], pts[..., 1]))
+    alpha = np.linalg.inv(_values(_FULL, pts))
     asb = np.einsum("tqcd,tqkd->tqkc", alpha, sb)
     sd, dd = space.cell_stress_dofs, space.cell_disp_dofs
     blocks = [
@@ -89,7 +104,7 @@ def test_assembly_matches_per_cell_einsums(l):
         scale = np.abs(ref).max()
         assert np.abs(matrix.toarray() - ref).max() <= 1e-13 * scale
     # the off-diagonal entries of A move M_sigma
-    diagonal = asm.Coefficient(lambda x, y: _full_coefficient(x, y) * np.eye(2))
+    diagonal = asm.Coefficient(sym.diag(_FULL[0, 0], _FULL[1, 1]))
     gap = asm.assemble_system(space, diagonal).M_sigma - system.M_sigma
     assert abs(gap).max() > 1e-3
 
@@ -154,21 +169,11 @@ def _y_then_zero(x, y):
     return np.stack([y, np.zeros(np.shape(x))], axis=-1)
 
 
-def _diag_coefficient(a11, a22):
-    def A(x, y):
-        out = np.zeros(np.shape(x) + (2, 2))
-        out[..., 0, 0] = a11(x, y)
-        out[..., 1, 1] = a22(x, y)
-        return out
-
-    return asm.Coefficient(A)
-
-
-def test_curl_variable_coefficient_fd_matches_analytic():
+def test_curl_variable_coefficient_matches_analytic():
     # A = diag(1 + x/2, 1 + y/2), sigma constant: curl(alpha sigma) has the
     # closed form d/dx(sigma_2 / (1 + y/2)) - d/dy(sigma_1 / (1 + x/2)) = 0
     space = MixedSpace(unit_square_mesh(3), 0)
-    A = _diag_coefficient(lambda x, y: 1 + x / 2, lambda x, y: 1 + y / 2)
+    A = asm.Coefficient(sym.diag(1 + _x / 2, 1 + _y / 2))
     ops = asm.estimator_operators(space, A)
     assert np.abs(_sigma_samples(ops.curl, fortin_interpolate(space, _ones))).max() < 1e-12
 
@@ -180,16 +185,16 @@ def test_curl_variable_coefficient_fd_matches_analytic():
     # -d/dy (y / (1 + y/2)): alpha d(sigma) and d(alpha) sigma both count
     (1, _y_then_zero, lambda x, y: -1.0 / (1 + y / 2) ** 2),
 ])
-def test_curl_finite_difference_of_alpha_matches_closed_form(l, sigma, curl):
+def test_curl_derivative_of_alpha_matches_closed_form(l, sigma, curl):
     # A = diag(1 + y/2, 1 + x/2); sigma is in RT_l, so its interpolant is exact
     space = MixedSpace(unit_square_mesh(3), l)
-    A = _diag_coefficient(lambda x, y: 1 + y / 2, lambda x, y: 1 + x / 2)
+    A = asm.Coefficient(sym.diag(1 + _y / 2, 1 + _x / 2))
     ops = asm.estimator_operators(space, A)
     got = _sigma_samples(ops.curl, fortin_interpolate(space, sigma))
     got = got.reshape(space.mesh.num_cells, -1).sum(axis=1)
     x, y = space.quad_points[..., 0], space.quad_points[..., 1]
     want = (space.quad_weights * curl(x, y) ** 2).sum(axis=1)
-    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_jump_zero_on_one_cell_mesh():
@@ -204,3 +209,78 @@ def test_jump_zero_on_one_cell_mesh():
             space, sigma, np.zeros(space.quad_weights.shape), np.zeros(space.n_disp)
         )
         assert np.array_equal(se.jump, np.zeros(1))
+
+
+def test_dalpha_of_full_coefficient_matches_symbolic_derivative():
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, (4, 5, 2))
+    got = asm.Coefficient(_FULL).dalpha_at(pts)
+    for d, s in enumerate((_x, _y)):
+        want = _values(sym.diff(_FULL.inv(), s), pts)
+        assert np.abs(got[d] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("sigma", [(1, 1), (_y, 0)])
+def test_curl_of_full_coefficient_matches_symbolic_curl(sigma):
+    # sigma is in RT1, so its interpolant is exact; the off-diagonal
+    # entries of alpha and of its derivatives all enter the curl
+    g = _FULL.inv() * sym.Matrix(sigma)
+    curl = sym.diff(g[1], _x) - sym.diff(g[0], _y)
+    space = MixedSpace(unit_square_mesh(3), 1)
+    ops = asm.estimator_operators(space, asm.Coefficient(_FULL))
+    row = sym.Matrix([sigma]).T
+    field = fortin_interpolate(
+        space, lambda x, y: _values(row, np.stack([x, y], -1))[..., 0]
+    )
+    got = _sigma_samples(ops.curl, field).reshape(space.mesh.num_cells, -1).sum(axis=1)
+    want = _values(sym.Matrix([curl]), space.quad_points)[..., 0, 0]
+    want = (space.quad_weights * want ** 2).sum(axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["package-symbols", "plain-symbols"])
+def test_coefficient_input_is_checked(plain):
+    x, y, t = sym.symbols("x y t") if plain else (_x, _y, asm._T)
+    bad = [
+        (lambda x, y: np.eye(2), "None, a constant 2x2 array or a sympy Matrix in x and y"),
+        (sym.Matrix([[1 + x, 0, 0], [0, 1, 0]]), "symmetric 2x2"),
+        (sym.diag(1 + x, 1 + y, 1), "symmetric 2x2"),
+        (sym.Matrix([[1 + x, y / 2], [0, 1 + y]]), "symmetric"),
+        (sym.Matrix([[1 + t, 0], [0, 1 + y]]), r"x and y only, not on \{t\}"),
+    ]
+    for entries, message in bad:
+        with pytest.raises(asm.AssemblyError, match=message):
+            asm.Coefficient(entries)
+    # x and y are matched by name: the same values as the package's symbols
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (3, 4, 2))
+    got = asm.Coefficient(sym.Matrix([[2 + x, y / 2], [y / 2, 1 + y]]))
+    want = asm.Coefficient(_FULL)
+    np.testing.assert_array_equal(got.alpha_at(pts), want.alpha_at(pts))
+    np.testing.assert_array_equal(got.dalpha_at(pts), want.dalpha_at(pts))
+
+
+def _coo_cell_rows(loc, dofs, n_cols):
+    """_cell_rows through COO triples and sum_duplicates, as a reference."""
+    n_rows = loc[..., 0].size
+    cols = np.broadcast_to(
+        dofs.reshape((len(dofs),) + (1,) * (loc.ndim - 2) + dofs.shape[1:]), loc.shape
+    )
+    rows = np.repeat(np.arange(n_rows), loc.shape[-1])
+    return sp.csr_matrix((loc.ravel(), (rows, cols.ravel())), shape=(n_rows, n_cols))
+
+
+def test_cell_rows_match_their_coo_construction(monkeypatch):
+    mesh = _jittered_mesh(5)
+    coeff = asm.Coefficient(_FULL)
+    space = MixedSpace(mesh, 1)
+    ops = asm.estimator_operators(space, coeff)
+    monkeypatch.setattr(spaces, "_cell_rows", _coo_cell_rows)
+    monkeypatch.setattr(asm, "_cell_rows", _coo_cell_rows)
+    ref_space = MixedSpace(mesh, 1)
+    ref_ops = asm.estimator_operators(ref_space, coeff)
+    pairs = [
+        (getattr(space, name), getattr(ref_space, name))
+        for name in ("stress_quad_map", "div_quad_map", "disp_quad_map")
+    ] + [(getattr(ops, name), getattr(ref_ops, name)) for name in ("grad_u", "jump", "curl")]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(got.toarray(), want.toarray())

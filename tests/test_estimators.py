@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import sympy as sym
 
 from mixedwave import assembly as asm
 from mixedwave import estimators as est
@@ -210,12 +211,8 @@ def test_cellwise_csv(tmp_path):
     assert len(lines) == traj.space.mesh.num_cells + 1
 
 
-def _varcoef(x, y):
-    out = np.zeros(np.shape(x) + (2, 2))
-    out[..., 0, 0] = 1 + x / 2
-    out[..., 0, 1] = out[..., 1, 0] = 0.1 * y
-    out[..., 1, 1] = 1 + y / 2
-    return out
+_x, _y = asm._X, asm._Y
+_varcoef = sym.Matrix([[1 + _x / 2, _y / 10], [_y / 10, 1 + _y / 2]])
 
 
 def _estimate_data(space, seed=5):

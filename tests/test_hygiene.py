@@ -1,0 +1,50 @@
+"""Static checks of the package source.
+
+A function local that is assigned and never read is dead code or a
+value computed and then forgotten; names starting with "_" are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mixedwave"
+
+
+def _functions(tree):
+    """Top-level functions and methods; nested functions stay in their parent."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _unread_locals(fn):
+    stored, loaded = {}, set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            else:
+                loaded.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            loaded.add(node.target.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            loaded.update(node.names)
+    return sorted(
+        (line, name) for name, line in stored.items()
+        if name not in loaded and not name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_local_is_stored_and_never_loaded(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = [
+        "{}:{} {}() stores {!r} and never reads it".format(path.name, line, fn.name, name)
+        for fn in _functions(tree)
+        for line, name in _unread_locals(fn)
+    ]
+    assert not unread, "\n".join(unread)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy as sym
 
+from mixedwave import estimators as est
 from mixedwave import verification as ver
 from mixedwave.assembly import Coefficient
 from mixedwave.mesh import unit_square_mesh
@@ -189,3 +190,22 @@ def test_stress_error_matches_dense_form_for_full_coefficient():
     assert abs(got - dense) <= 1e-13 * dense
     diagonal = np.sqrt(np.einsum("tq,tqc,tqc->", w, alpha[..., [0, 1], [0, 1]], d * d))
     assert abs(dense - diagonal) > 1e-3 * dense
+
+
+def test_full_coefficient_run_is_bounded_at_every_node():
+    # A full, x-y coupled A, so d(alpha) enters the curl term off the
+    # diagonal; built here, not registered
+    x, y, t = ver._X, ver._Y, ver._T
+    A = [[2 + x, y / 2], [y / 2, 1 + y]]
+    p = ver.manufactured(
+        "full-coefficient", ver._MODE * sym.cos(sym.sqrt(2) * sym.pi * t), A
+    )
+    assert not p.A.is_constant
+    traj = ver.solve_problem(p, 4, 8, T=0.25, rt_index=1)
+    err_u, err_s = ver.true_error(traj, p)
+    rep = est.compose_report(
+        traj, A=p.A, err_u=err_u, err_sigma=err_s,
+        initial_errors=ver.initial_errors(traj, p),
+    )
+    assert np.all(rep.bound_u >= err_u)
+    assert np.all(rep.bound_sigma >= err_s)
