@@ -16,7 +16,6 @@ traj = ver.solve_problem(problem, n=12, N=30)
 err_u, err_sigma = ver.true_error(traj, problem)
 report = est.compose_report(
     traj,
-    A=problem.A,
     err_u=err_u,
     err_sigma=err_sigma,
     initial_errors=ver.initial_errors(traj, problem),

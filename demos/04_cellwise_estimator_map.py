@@ -14,11 +14,10 @@ traj = ver.solve_problem(problem, n=16, N=40, forcing_mode="average")
 
 final = traj.grid.num_steps
 se = est.spatial_estimate(
-    traj.space,
+    traj.system,
     traj.Sigma[final],
     est.r2_strong_values(traj, final),
     traj.U[final],
-    A=problem.A,
 )
 est.write_cellwise_csv(se, traj.space.mesh, "cells_demo.csv")
 print("cellwise map written to cells_demo.csv")

@@ -2,10 +2,13 @@
 
 Builds the alpha-weighted stress mass matrix (alpha = A^-1), the
 divergence coupling and the displacement mass matrix, plus the load
-vectors and the edge/cell quantities consumed by the estimators.
+vectors.  The assembled SaddleSystem owns everything derived from its
+(space, A): alpha at the cell quadrature, the matrices, and the
+estimator operators, which it builds from that alpha on first use.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,36 +95,41 @@ class Coefficient:
         adj = np.stack([np.stack([d, -b], -1), np.stack([-b, a], -1)], -2)
         return adj / det[..., None, None]
 
-    def dalpha_at(self, pts):
-        """(d_x alpha, d_y alpha) = -alpha (dA) alpha at points: (2, ..., 2, 2)."""
+    def dalpha_at(self, pts, alpha):
+        """(d_x alpha, d_y alpha) = -alpha (dA) alpha at points: (2, ..., 2, 2).
+
+        alpha is alpha_at(pts), which the caller already holds.
+        """
         if self.is_constant:
             return np.zeros((2,) + pts.shape[:-1] + (2, 2))
         if self._dA is None:
             self._dA = _closed_form(self.expr.diff(_X).col_join(self.expr.diff(_Y)))
         dA = self._dA(pts[..., 0], pts[..., 1], 0.0).reshape(pts.shape[:-1] + (2, 2, 2))
-        alpha = self.alpha_at(pts)
         return -alpha @ np.moveaxis(dA, -3, 0) @ alpha
-
-
-def as_coefficient(A):
-    return A if isinstance(A, Coefficient) else Coefficient(A)
 
 
 @dataclass
 class SaddleSystem:
-    """Sparse matrices of the discrete mixed forms.
+    """The discrete mixed forms of one (space, coefficient) pair.
 
+    alpha : A^-1 at space.quad_points, (T, nq, 2, 2)
     M_sigma : (alpha Sigma, v), n_stress x n_stress, SPD
     B : (div Sigma, w), n_disp x n_stress
     M_u : (U, w), n_disp x n_disp, cell-block-diagonal SPD
+    estimator_ops : the EstimatorOperators, built from alpha on first use
     """
 
     space: MixedSpace
     coefficient: Coefficient
+    alpha: np.ndarray = field(repr=False)
     M_sigma: sp.csr_matrix
     B: sp.csr_matrix
     M_u: sp.csr_matrix
     _factor_cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def estimator_ops(self):
+        return _build_estimator_ops(self)
 
 
 def _block_diag(blocks):
@@ -138,7 +146,7 @@ def assemble_system(space, A=None):
     maps and W the quadrature weights: M_sigma = S^T blk(w alpha) S,
     B = V^T W D and M_u = V^T W V.
     """
-    coeff = as_coefficient(A)
+    coeff = A if isinstance(A, Coefficient) else Coefficient(A)
     w = space.quad_weights
     alpha = coeff.alpha_at(space.quad_points)  # (T, nq, 2, 2)
     S, V = space.stress_quad_map, space.disp_quad_map
@@ -147,6 +155,7 @@ def assemble_system(space, A=None):
     return SaddleSystem(
         space=space,
         coefficient=coeff,
+        alpha=alpha,
         M_sigma=M_sigma.tocsr(),
         B=VtW @ space.div_quad_map,
         M_u=VtW @ V,
@@ -187,8 +196,10 @@ def disp_l2_norm_cellwise(space, vals):
 class EstimatorOperators:
     """Sparse linear maps whose images the spatial estimator measures.
 
-    All but cell_jump act on coefficient vectors and carry sqrt(w) of
-    their quadrature, so a cellwise L2 norm is a block norm of the image.
+    Owned by a SaddleSystem (SaddleSystem.estimator_ops), which builds
+    them on first use from its own alpha.  All but cell_jump act on
+    coefficient vectors and carry sqrt(w) of their quadrature, so a
+    cellwise L2 norm is a block norm of the image.
 
     alpha_sigma : alpha Sigma_h at the cell quadrature, rows (T, nq, 2)
     grad_u : grad_h U at the cell quadrature, rows (T, nq, 2), on
@@ -210,27 +221,14 @@ class EstimatorOperators:
     curl: sp.csr_matrix
 
 
-def estimator_operators(space, coeff):
-    """The EstimatorOperators of (space, coeff), built on first use.
-
-    They are kept in the space's `operator_cache`, a WeakKeyDictionary
-    keyed on the Coefficient object, so an entry lives exactly as long
-    as its coefficient.
-    """
-    ops = space.operator_cache.get(coeff)
-    if ops is None:
-        ops = space.operator_cache[coeff] = _build_estimator_operators(space, coeff)
-    return ops
-
-
-def _build_estimator_operators(space, coeff):
+def _build_estimator_ops(system):
+    space, coeff, alpha = system.space, system.coefficient, system.alpha
     mesh = space.mesh
     T = mesh.num_cells
     n_s = space.n_stress
     dofs = space.cell_stress_dofs
     pts = space.quad_points
     sqrt_w = np.sqrt(space.quad_weights)[..., None]  # (T, nq, 1)
-    alpha = coeff.alpha_at(pts)
     alpha_sigma = (
         _block_diag(sqrt_w[..., None] * alpha) @ space.stress_quad_map
     ).tocsr()
@@ -278,7 +276,7 @@ def _build_estimator_operators(space, coeff):
     curl -= np.einsum(rows, alpha[..., 0, :], grad[..., 1])
     if not coeff.is_constant:
         sb = space.eval_stress_basis(np.arange(T), pts)
-        dx, dy = coeff.dalpha_at(pts)
+        dx, dy = coeff.dalpha_at(pts, alpha)
         curl += np.einsum(rows, dx[..., 1, :], sb) - np.einsum(rows, dy[..., 0, :], sb)
     curl = _cell_rows(sqrt_w * curl, dofs, n_s)
     return EstimatorOperators(

@@ -148,6 +148,8 @@ def parse_config(argv):
         cfg["levels_list"] = [int(s) for s in str(cfg["levels"]).split(",") if s.strip()]
     except ValueError:
         raise TypeMismatchError("key 'levels' expects comma-separated integers")
+    if any(n < 1 for n in cfg["levels_list"]):
+        raise TypeMismatchError("key 'levels' must be >= 1 at every level")
     if cfg["command"] == "study" and len(cfg["levels_list"]) < 3:
         raise MissingRequiredError("key 'levels' needs at least 3 levels")
     return cfg
@@ -238,7 +240,6 @@ def cmd_estimate(cfg, outdir):
     err_u, err_sigma = true_error(traj, problem)
     report = est.compose_report(
         traj,
-        A=problem.A,
         err_u=err_u,
         err_sigma=err_sigma,
         initial_errors=initial_errors(traj, problem),
@@ -248,11 +249,7 @@ def cmd_estimate(cfg, outdir):
     est.write_report_csv(report, os.path.join(outdir, "report.csv"))
     final = traj.grid.num_steps
     se = est.spatial_estimate(
-        traj.space,
-        traj.Sigma[final],
-        est.r2_strong_values(traj, final),
-        traj.U[final],
-        A=problem.A,
+        traj.system, traj.Sigma[final], est.r2_strong_values(traj, final), traj.U[final]
     )
     est.write_cellwise_csv(se, traj.space.mesh, os.path.join(outdir, "cells_final.csv"))
     return 0

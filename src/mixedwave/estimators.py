@@ -18,12 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .assembly import (
-    as_coefficient,
-    disp_l2_norm,
-    disp_l2_norm_cellwise,
-    estimator_operators,
-)
+from .assembly import disp_l2_norm, disp_l2_norm_cellwise
 
 
 class EstimatorError(Exception):
@@ -67,20 +62,18 @@ def _rss(percell):
     return float(np.sqrt((percell ** 2).sum()))
 
 
-def spatial_estimate(space, sigma_coeffs, r2_values, displacement, A=None):
+def spatial_estimate(system, sigma_coeffs, r2_values, displacement):
     """Spatial estimator ingredients for one (sigma, r_2, U) data set.
 
-    r2_values are the strong residual samples at the space quadrature,
-    shape (T, nq); sigma_coeffs and displacement are the coefficient
-    vectors of Sigma and U.  The other terms are products of the
-    EstimatorOperators of (space, A) with those vectors: the gradient
-    defect ||h(alpha sigma + grad_h U)||_K and ||h curl(alpha sigma)||_K
-    are h_K times block norms of the products, and the jump term is the
-    root of cell_jump applied to the squared jump samples.  The
-    operators are built once per Coefficient object: pass the same
-    Coefficient to reuse them.
+    r2_values are the strong residual samples at the quadrature of
+    system.space, shape (T, nq); sigma_coeffs and displacement are the
+    coefficient vectors of Sigma and U.  The other terms are products of
+    system.estimator_ops with those vectors: the gradient defect
+    ||h(alpha sigma + grad_h U)||_K and ||h curl(alpha sigma)||_K are
+    h_K times block norms of the products, and the jump term is the root
+    of cell_jump applied to the squared jump samples.
     """
-    ops = estimator_operators(space, as_coefficient(A))
+    space, ops = system.space, system.estimator_ops
     h = space.mesh.h_cell
     T = len(h)
     r2_cell = disp_l2_norm_cellwise(space, np.asarray(r2_values, dtype=float))
@@ -284,13 +277,19 @@ def compose_report(
     with s = 1 under the unit constants policy and s = calibration
     (a pair of scales fit elsewhere) under "calibrated".  e7n equals e3n;
     the notation lists them separately but they are the same quantity.
+    Every term is weighted by the alpha the run was assembled with
+    (traj.system); A may only be None or that system's own coefficient.
     """
+    system = traj.system
+    if A is not None and A is not system.coefficient:
+        raise EstimatorError(
+            "A must be None or the coefficient the run was assembled with"
+        )
     if constants not in ("unit", "calibrated"):
         raise EstimatorError("constants policy must be 'unit' or 'calibrated'")
     if constants == "calibrated" and calibration is None:
         raise MissingSeriesError("calibrated policy needs precomputed scales")
     space = traj.space
-    coeff = as_coefficient(A if A is not None else traj.system.coefficient)
     grid = traj.grid
     N = grid.num_steps
     k = grid.steps
@@ -300,17 +299,14 @@ def compose_report(
     # initial-node terms: e10 and e40 are the gradient-defect norms of
     # (Sigma^0, U^0) and their first-difference data; e50 is jump + curl
     # of Sigma^0
-    se0 = spatial_estimate(
-        space, traj.Sigma[0], r2_strong_values(traj, 0), traj.U[0], A=coeff
-    )
+    se0 = spatial_estimate(system, traj.Sigma[0], r2_strong_values(traj, 0), traj.U[0])
     e10 = _rss(se0.gradient)
     e50 = _rss(se0.jump) + _rss(se0.curl)
     se_rate0 = spatial_estimate(
-        space,
+        system,
         (traj.Sigma[1] - traj.Sigma[0]) / k[0],
         np.zeros_like(space.quad_weights),
         traj.dtU[0],
-        A=coeff,
     )
     e40 = _rss(se_rate0.gradient)
 
@@ -321,15 +317,15 @@ def compose_report(
     for m in range(N + 1):
         prev, prev_rate = data, rate
         data = (traj.Sigma[m], r2_strong_values(traj, m), traj.U[m])
-        se = spatial_estimate(space, *data, A=coeff)
+        se = spatial_estimate(system, *data)
         comp["e2n"][m] = se.e1
         comp["e6n"][m] = se.e2
         if m >= 1:
             rate = [(x - y) / k[m - 1] for x, y in zip(data, prev)]
-            comp["e3n"][m] = spatial_estimate(space, *rate, A=coeff).e1
+            comp["e3n"][m] = spatial_estimate(system, *rate).e1
         if m >= 2:
             rate2 = [(x - y) / k[m - 1] for x, y in zip(rate, prev_rate)]
-            comp["e8n"][m] = spatial_estimate(space, *rate2, A=coeff).e1
+            comp["e8n"][m] = spatial_estimate(system, *rate2).e1
     comp["sum_k_e3"][1:] = np.cumsum(k * comp["e3n"][1:])
     comp["sum_k_e8"][1:] = np.cumsum(k * comp["e8n"][1:])
     for name in ("e11", "e12", "e13", "e14", "e21", "e22", "e23", "e24"):

@@ -43,14 +43,16 @@ class GridError(SolverError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time nodes t_0 = 0 < ... < t_N = T."""
+    """Strictly increasing finite time nodes t_0 = 0 < ... < t_N = T."""
 
     nodes: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.nodes, dtype=float)
-        if len(t) < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
+        if len(t) < 2 or t[0] != 0.0 or not np.all(np.diff(t) > 0.0):
             raise GridError("time nodes must start at 0 and strictly increase")
+        if not np.isfinite(t[-1]):
+            raise GridError("time nodes must be finite")
         object.__setattr__(self, "nodes", t)
 
     @property
@@ -380,14 +382,26 @@ def _read_exact(fh, size, path):
 def load_states(directory):
     """Read back (nodes, U, Sigma, dtU) written by save_trajectory.
 
-    Raises SolverError when a state file is truncated, carries trailing
-    bytes, or disagrees with the first file on the block sizes.
+    Raises SolverError when grid.csv cannot be parsed (naming its line)
+    or its nodes fail TimeGrid's check, when a state file is truncated,
+    carries trailing bytes, or disagrees with the first file on the
+    block sizes.
     """
+    path = os.path.join(directory, "grid.csv")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if lines[:1] != ["n,t_n,k_n"]:
+        raise SolverError("{} line 1: expected the header n,t_n,k_n".format(path))
     nodes = []
-    with open(os.path.join(directory, "grid.csv")) as fh:
-        next(fh)
-        for line in fh:
+    for i, line in enumerate(lines[1:], start=2):
+        try:
             nodes.append(float(line.split(",")[1]))
+        except (IndexError, ValueError):
+            raise SolverError("{} line {}: no time in {!r}".format(path, i, line)) from None
+    try:
+        nodes = TimeGrid(nodes).nodes
+    except GridError as exc:
+        raise GridError("{}: {}".format(path, exc)) from None
     U, Sigma, dtU = [], [], []
     sizes = None
     for n in range(len(nodes)):
@@ -406,4 +420,4 @@ def load_states(directory):
                 rows.append(np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8"))
             if fh.read(1):
                 raise SolverError("trailing bytes in {}".format(path))
-    return np.array(nodes), np.array(U), np.array(Sigma), np.array(dtU)
+    return nodes, np.array(U), np.array(Sigma), np.array(dtU)

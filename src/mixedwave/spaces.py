@@ -25,8 +25,6 @@ edge e against the i-th of {1, 2 xi - 1}, and for RT1 dof 2 E + 2 t + c
 is the integral of component c over cell t (see rt_interpolate).
 """
 
-import weakref
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -105,9 +103,7 @@ def _cell_rows(loc, dofs, n_cols):
 class MixedSpace:
     """Paired RT_l / discontinuous P_l degree-of-freedom maps on a mesh.
 
-    Immutable after construction, except for `operator_cache`, where
-    assembly.estimator_operators keeps the estimator operators of each
-    Coefficient used on this space; all evaluation methods are pure.
+    Immutable after construction; all evaluation methods are pure.
 
     The quadrature maps are built here, with rows in (cell, point[,
     component]) order: stress_quad_map (T nq 2 x n_stress), div_quad_map
@@ -149,7 +145,6 @@ class MixedSpace:
         self.div_quad_map = _cell_rows(self.eval_div_basis(cells, pts), sd, n_s)
         disp = self.eval_disp_basis(cells, pts)
         self.disp_quad_map = _cell_rows(disp, self.cell_disp_dofs, self.n_disp)
-        self.operator_cache = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # construction

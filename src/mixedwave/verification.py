@@ -168,9 +168,11 @@ def _stress_error(space, alpha, coefficients, exact, t):
 
 
 def true_error(traj, problem):
-    """Per-node errors ||U^n - u(t_n)|| and ||Sigma^n - sigma(t_n)||_{A^-1}."""
-    space = traj.space
-    alpha = problem.A.alpha_at(space.quad_points)
+    """Per-node errors ||U^n - u(t_n)|| and ||Sigma^n - sigma(t_n)||_{A^-1}.
+
+    The stress norm is weighted by the run's own alpha (traj.system.alpha).
+    """
+    space, alpha = traj.space, traj.system.alpha
     N = traj.grid.num_steps
     err_u = np.zeros(N + 1)
     err_s = np.zeros(N + 1)
@@ -181,9 +183,8 @@ def true_error(traj, problem):
 
 
 def initial_errors(traj, problem):
-    """(||e_u(0)||, ||e_{u,t}(0)||, ||e_sigma(0)||_{A^-1})."""
-    space = traj.space
-    alpha = problem.A.alpha_at(space.quad_points)
+    """(||e_u(0)||, ||e_{u,t}(0)||, ||e_sigma(0)||_{A^-1}), as in true_error."""
+    space, alpha = traj.space, traj.system.alpha
     return (
         _disp_error(space, traj.U[0], problem.u, 0.0),
         _disp_error(space, traj.dtU[0], problem.u_t, 0.0),
@@ -274,11 +275,7 @@ def run_spatial_study(
         err_u, err_s = true_error(traj, problem)
         e0 = initial_errors(traj, problem)
         rep = est.compose_report(
-            traj,
-            A=problem.A,
-            err_u=err_u,
-            err_sigma=err_s,
-            initial_errors=e0,
+            traj, err_u=err_u, err_sigma=err_s, initial_errors=e0
         )
         if calibration is None:
             calibration = est.calibrate_scales(rep)

@@ -120,7 +120,7 @@ def test_jump_zero_for_smooth_gradient_of_linear():
     field = fortin_interpolate(space, lambda x, y: np.stack(
         [np.full(np.shape(x), 2.0), np.full(np.shape(x), -1.0)], axis=-1
     ))
-    ops = asm.estimator_operators(space, asm.Coefficient())
+    ops = asm.assemble_system(space).estimator_ops
     assert np.abs(_sigma_samples(ops.jump, field)).max() < 1e-24
 
 
@@ -145,7 +145,7 @@ def test_jump_hand_oracle_single_edge():
     )
     jump = (left - right) @ tangent
     hand = (w * jump ** 2).sum()
-    ops = asm.estimator_operators(space, asm.Coefficient())
+    ops = asm.assemble_system(space).estimator_ops
     samples = _sigma_samples(ops.jump, field)
     assert abs(samples.sum() - hand) < 1e-12 * max(1.0, hand)
     # each of the two cells carries half of h_E times the edge integral
@@ -157,7 +157,7 @@ def test_curl_zero_for_rt0_identity_coefficient():
     space = MixedSpace(unit_square_mesh(3), 0)
     rng = np.random.default_rng(4)
     field = rng.standard_normal(space.n_stress)
-    ops = asm.estimator_operators(space, asm.Coefficient())
+    ops = asm.assemble_system(space).estimator_ops
     assert np.abs(_sigma_samples(ops.curl, field)).max() < 1e-20
 
 
@@ -174,7 +174,7 @@ def test_curl_variable_coefficient_matches_analytic():
     # closed form d/dx(sigma_2 / (1 + y/2)) - d/dy(sigma_1 / (1 + x/2)) = 0
     space = MixedSpace(unit_square_mesh(3), 0)
     A = asm.Coefficient(sym.diag(1 + _x / 2, 1 + _y / 2))
-    ops = asm.estimator_operators(space, A)
+    ops = asm.assemble_system(space, A).estimator_ops
     assert np.abs(_sigma_samples(ops.curl, fortin_interpolate(space, _ones))).max() < 1e-12
 
 
@@ -189,7 +189,7 @@ def test_curl_derivative_of_alpha_matches_closed_form(l, sigma, curl):
     # A = diag(1 + y/2, 1 + x/2); sigma is in RT_l, so its interpolant is exact
     space = MixedSpace(unit_square_mesh(3), l)
     A = asm.Coefficient(sym.diag(1 + _y / 2, 1 + _x / 2))
-    ops = asm.estimator_operators(space, A)
+    ops = asm.assemble_system(space, A).estimator_ops
     got = _sigma_samples(ops.curl, fortin_interpolate(space, sigma))
     got = got.reshape(space.mesh.num_cells, -1).sum(axis=1)
     x, y = space.quad_points[..., 0], space.quad_points[..., 1]
@@ -203,17 +203,19 @@ def test_jump_zero_on_one_cell_mesh():
     for l in (0, 1):
         space = MixedSpace(mesh, l)
         sigma = np.arange(space.n_stress, dtype=float)
-        ops = asm.estimator_operators(space, asm.Coefficient())
+        system = asm.assemble_system(space)
+        ops = system.estimator_ops
         assert ops.jump.shape == (0, space.n_stress)
         se = spatial_estimate(
-            space, sigma, np.zeros(space.quad_weights.shape), np.zeros(space.n_disp)
+            system, sigma, np.zeros(space.quad_weights.shape), np.zeros(space.n_disp)
         )
         assert np.array_equal(se.jump, np.zeros(1))
 
 
 def test_dalpha_of_full_coefficient_matches_symbolic_derivative():
     pts = np.random.default_rng(3).uniform(0.0, 1.0, (4, 5, 2))
-    got = asm.Coefficient(_FULL).dalpha_at(pts)
+    c = asm.Coefficient(_FULL)
+    got = c.dalpha_at(pts, c.alpha_at(pts))
     for d, s in enumerate((_x, _y)):
         want = _values(sym.diff(_FULL.inv(), s), pts)
         assert np.abs(got[d] - want).max() <= 1e-13 * np.abs(want).max()
@@ -226,7 +228,7 @@ def test_curl_of_full_coefficient_matches_symbolic_curl(sigma):
     g = _FULL.inv() * sym.Matrix(sigma)
     curl = sym.diff(g[1], _x) - sym.diff(g[0], _y)
     space = MixedSpace(unit_square_mesh(3), 1)
-    ops = asm.estimator_operators(space, asm.Coefficient(_FULL))
+    ops = asm.assemble_system(space, asm.Coefficient(_FULL)).estimator_ops
     row = sym.Matrix([sigma]).T
     field = fortin_interpolate(
         space, lambda x, y: _values(row, np.stack([x, y], -1))[..., 0]
@@ -255,7 +257,9 @@ def test_coefficient_input_is_checked(plain):
     got = asm.Coefficient(sym.Matrix([[2 + x, y / 2], [y / 2, 1 + y]]))
     want = asm.Coefficient(_FULL)
     np.testing.assert_array_equal(got.alpha_at(pts), want.alpha_at(pts))
-    np.testing.assert_array_equal(got.dalpha_at(pts), want.dalpha_at(pts))
+    np.testing.assert_array_equal(
+        got.dalpha_at(pts, got.alpha_at(pts)), want.dalpha_at(pts, want.alpha_at(pts))
+    )
 
 
 def _coo_cell_rows(loc, dofs, n_cols):
@@ -272,11 +276,11 @@ def test_cell_rows_match_their_coo_construction(monkeypatch):
     mesh = _jittered_mesh(5)
     coeff = asm.Coefficient(_FULL)
     space = MixedSpace(mesh, 1)
-    ops = asm.estimator_operators(space, coeff)
+    ops = asm.assemble_system(space, coeff).estimator_ops
     monkeypatch.setattr(spaces, "_cell_rows", _coo_cell_rows)
     monkeypatch.setattr(asm, "_cell_rows", _coo_cell_rows)
     ref_space = MixedSpace(mesh, 1)
-    ref_ops = asm.estimator_operators(ref_space, coeff)
+    ref_ops = asm.assemble_system(ref_space, coeff).estimator_ops
     pairs = [
         (getattr(space, name), getattr(ref_space, name))
         for name in ("stress_quad_map", "div_quad_map", "disp_quad_map")

@@ -79,6 +79,11 @@ def test_bad_numeric_ranges():
         cli.parse_config(["solve", "--problem", "standing-wave", "--steps", "0"])
     with pytest.raises(cli.TypeMismatchError, match="'T'"):
         cli.parse_config(["solve", "--problem", "standing-wave", "--T", "-1"])
+    for study, levels in (("spatial", "0,1,2"), ("temporal", "0,2,4"), ("spatial", "4,-8,16")):
+        with pytest.raises(cli.TypeMismatchError, match="levels"):
+            cli.parse_config(
+                ["study", "--problem", "standing-wave", "--study", study, "--levels", levels]
+            )
 
 
 def test_study_needs_three_levels():

@@ -1,6 +1,4 @@
 import dataclasses
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ def _traj(n=4, l=0, N=5, T=0.25, f=None, forcing_mode="pointwise"):
 def test_zero_state_gives_zero_estimates():
     space = MixedSpace(unit_square_mesh(3), 0)
     se = est.spatial_estimate(
-        space,
+        assemble_system(space),
         np.zeros(space.n_stress),
         np.zeros_like(space.quad_weights),
         np.zeros(space.n_disp),
@@ -41,8 +39,9 @@ def test_spatial_estimate_homogeneous_degree_one():
     sig = rng.standard_normal(space.n_stress)
     r2 = rng.standard_normal(space.quad_weights.shape)
     u = rng.standard_normal(space.n_disp)
-    a = est.spatial_estimate(space, sig, r2, u)
-    b = est.spatial_estimate(space, 3.0 * sig, 3.0 * r2, 3.0 * u)
+    system = assemble_system(space)
+    a = est.spatial_estimate(system, sig, r2, u)
+    b = est.spatial_estimate(system, 3.0 * sig, 3.0 * r2, 3.0 * u)
     assert abs(b.e1 - 3.0 * a.e1) < 1e-10 * max(a.e1, 1.0)
     assert abs(b.e2 - 3.0 * a.e2) < 1e-10 * max(a.e2, 1.0)
 
@@ -202,7 +201,7 @@ def test_report_csv_zero_error_and_exact_floats(tmp_path):
 def test_cellwise_csv(tmp_path):
     traj = _traj(N=2, T=0.1)
     se = est.spatial_estimate(
-        traj.space, traj.Sigma[-1], est.r2_strong_values(traj, 2), traj.U[-1]
+        traj.system, traj.Sigma[-1], est.r2_strong_values(traj, 2), traj.U[-1]
     )
     path = tmp_path / "cells.csv"
     est.write_cellwise_csv(se, traj.space.mesh, path)
@@ -224,48 +223,48 @@ def _estimate_data(space, seed=5):
     )
 
 
-def test_operator_cache_is_keyed_on_the_coefficient_object():
-    # two coefficients on one space give what each gives on a fresh space
+def test_systems_of_two_coefficients_on_one_space_match_fresh_spaces():
+    # each system owns the operators of its own coefficient, whatever
+    # else was assembled on the same space
     space = MixedSpace(unit_square_mesh(3), 1)
     data = _estimate_data(space)
     coeffs = (Coefficient(np.diag([2.0, 0.5])), Coefficient(_varcoef))
-    shared = [est.spatial_estimate(space, *data, A=c) for c in coeffs]
-    assert len(space.operator_cache) == 2
+    shared = [est.spatial_estimate(assemble_system(space, c), *data) for c in coeffs]
     for c, got in zip(coeffs, shared):
-        fresh = est.spatial_estimate(MixedSpace(unit_square_mesh(3), 1), *data, A=c)
+        fresh_space = MixedSpace(unit_square_mesh(3), 1)
+        fresh = est.spatial_estimate(assemble_system(fresh_space, c), *data)
         for f in dataclasses.fields(est.SpatialEstimate):
             np.testing.assert_array_equal(getattr(got, f.name), getattr(fresh, f.name))
     assert shared[0].e2 != shared[1].e2
 
 
-def test_repeated_calls_reuse_the_operators(monkeypatch):
+def test_the_operators_are_built_once_per_system(monkeypatch):
     space = MixedSpace(unit_square_mesh(3), 1)
     data = _estimate_data(space)
-    coeff = Coefficient(_varcoef)
     builds = []
-    build = asm._build_estimator_operators
+    build = asm._build_estimator_ops
     monkeypatch.setattr(
-        asm, "_build_estimator_operators", lambda *a: builds.append(a) or build(*a)
+        asm, "_build_estimator_ops", lambda *a: builds.append(a) or build(*a)
     )
-    first = est.spatial_estimate(space, *data, A=coeff)
-    again = est.spatial_estimate(space, *data, A=coeff)
-    asm.estimator_operators(space, coeff)
+    system = assemble_system(space, Coefficient(_varcoef))
+    assert builds == []  # assembly alone does not build them
+    first = est.spatial_estimate(system, *data)
+    again = est.spatial_estimate(system, *data)
+    assert system.estimator_ops is system.estimator_ops
     assert len(builds) == 1
     assert again.e1 == first.e1 and again.e2 == first.e2
+    # a second system on the same space builds its own
+    est.spatial_estimate(assemble_system(space, Coefficient(_varcoef)), *data)
+    assert len(builds) == 2
 
 
-def test_operator_cache_entry_dies_with_its_coefficient():
-    space = MixedSpace(unit_square_mesh(3), 0)
-    data = _estimate_data(space)
-    coeff = Coefficient(_varcoef)
-    est.spatial_estimate(space, *data, A=coeff)
-    ops = weakref.ref(asm.estimator_operators(space, coeff))
-    del coeff
-    gc.collect()
-    assert ops() is None
-    assert len(space.operator_cache) == 0
-    # one-off callers that pass a fresh coefficient leave nothing behind
-    for _ in range(3):
-        est.spatial_estimate(space, *data, A=np.diag([2.0, 3.0]))
-    gc.collect()
-    assert len(space.operator_cache) == 0
+def test_compose_report_accepts_only_the_runs_own_coefficient():
+    traj = _traj(N=3, T=0.1)
+    plain = est.compose_report(traj)
+    own = est.compose_report(traj, A=traj.system.coefficient)
+    np.testing.assert_array_equal(own.bound_u, plain.bound_u)
+    np.testing.assert_array_equal(own.bound_sigma, plain.bound_sigma)
+    # an equal but foreign coefficient, or a raw array, is refused
+    for foreign in (Coefficient(), np.eye(2), np.diag([2.0, 1.0])):
+        with pytest.raises(est.EstimatorError, match="assembled with"):
+            est.compose_report(traj, A=foreign)

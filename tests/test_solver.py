@@ -20,6 +20,9 @@ def test_time_grid_validation():
         solver.TimeGrid(np.array([0.0, 0.5, 0.4]))
     with pytest.raises(solver.GridError):
         solver.TimeGrid(np.array([0.1, 0.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(solver.GridError):
+            solver.TimeGrid(np.array([0.0, 0.5, bad]))
 
 
 def test_interval_index():
@@ -214,6 +217,36 @@ def test_truncated_state_file_raises(tmp_path):
     with open(path, "ab") as fh:
         fh.write(bytes(16))
     with pytest.raises(solver.SolverError, match="trailing"):
+        solver.load_states(out)
+
+
+def _saved_trajectory(out):
+    u0, u1 = _standing_data()
+    system = assemble_system(MixedSpace(unit_square_mesh(2), 0))
+    solver.save_trajectory(
+        solver.run(system, None, u0, u1, solver.uniform_grid(0.3, 3)), out
+    )
+    return out
+
+
+def test_empty_grid_file_raises(tmp_path):
+    out = _saved_trajectory(tmp_path / "out")
+    (out / "grid.csv").write_text("")
+    with pytest.raises(solver.SolverError, match=r"grid\.csv line 1"):
+        solver.load_states(out)
+
+
+def test_non_numeric_time_in_grid_file_raises(tmp_path):
+    out = _saved_trajectory(tmp_path / "out")
+    (out / "grid.csv").write_text("n,t_n,k_n\n0,0,0\n1,0.1,0.1\n2,soon,0.1\n")
+    with pytest.raises(solver.SolverError, match=r"grid\.csv line 4: .*soon"):
+        solver.load_states(out)
+
+
+def test_non_increasing_grid_file_nodes_raise(tmp_path):
+    out = _saved_trajectory(tmp_path / "out")
+    (out / "grid.csv").write_text("n,t_n,k_n\n0,0,0\n1,0.1,0.1\n2,0.05,-0.05\n")
+    with pytest.raises(solver.GridError, match=r"grid\.csv: .*strictly increase"):
         solver.load_states(out)
 
 

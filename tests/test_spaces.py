@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixedwave import spaces as sp
-from mixedwave.assembly import Coefficient, estimator_operators
+from mixedwave.assembly import assemble_system
 from mixedwave.mesh import build_mesh, unit_square_mesh
 
 
@@ -117,7 +117,7 @@ def test_broken_grad():
     for l, slope in ((0, 0.0), (1, 1.0)):
         space = sp.MixedSpace(unit_square_mesh(2), l)
         p = sp.l2_project_scalar(space, lambda x, y: x)
-        ops = estimator_operators(space, Coefficient())
+        ops = assemble_system(space).estimator_ops
         sqrt_w = np.sqrt(space.quad_weights)
         g = (ops.grad_u @ p).reshape(space.quad_points.shape)
         assert np.abs(g[..., 0] - slope * sqrt_w).max() < 1e-12

@@ -204,8 +204,28 @@ def test_full_coefficient_run_is_bounded_at_every_node():
     traj = ver.solve_problem(p, 4, 8, T=0.25, rt_index=1)
     err_u, err_s = ver.true_error(traj, p)
     rep = est.compose_report(
-        traj, A=p.A, err_u=err_u, err_sigma=err_s,
+        traj, err_u=err_u, err_sigma=err_s,
         initial_errors=ver.initial_errors(traj, p),
     )
     assert np.all(rep.bound_u >= err_u)
     assert np.all(rep.bound_sigma >= err_s)
+
+
+def test_a_variable_coefficient_round_evaluates_alpha_once(monkeypatch):
+    # assembly, true errors and the report all read the alpha the
+    # system was assembled with; none evaluates it at the cell
+    # quadrature again
+    problem = ver.variable_coefficient()
+    calls = []
+    alpha_at = Coefficient.alpha_at
+    monkeypatch.setattr(
+        Coefficient, "alpha_at", lambda self, pts: calls.append(pts) or alpha_at(self, pts)
+    )
+    traj = ver.solve_problem(problem, 3, 4, T=0.1)
+    err_u, err_s = ver.true_error(traj, problem)
+    est.compose_report(
+        traj, err_u=err_u, err_sigma=err_s, initial_errors=ver.initial_errors(traj, problem)
+    )
+    quad = traj.space.quad_points
+    at_quad = [p for p in calls if p.shape == quad.shape and np.array_equal(p, quad)]
+    assert len(at_quad) == 1
