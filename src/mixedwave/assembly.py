@@ -24,21 +24,42 @@ def _closed_form(expr):
 
     x, y and t broadcast (t of shape (m, 1, ..., 1) gives m times in one
     call).  Values have the broadcast shape plus the matrix axes: none for
-    a scalar, (n,) for an n x 1 Matrix and the Matrix shape otherwise.  All
-    entries share one lambdified function with common subexpression
-    elimination.
+    a scalar, (n,) for an n x 1 Matrix and the Matrix shape otherwise.
+
+    Each entry is evaluated as a separated sum sum_i g_i(x, y) h_i(t): its
+    terms are split into a factor free of t and a factor in t, and the
+    spatial factors of one time factor are summed.  A term whose time
+    factor still holds x or y is kept whole as its own factor, so the sum
+    is the entry exactly; nothing is expanded or simplified.  One
+    lambdified function with common subexpression elimination returns
+    every factor, the g_i at the shape of x and y and the h_i at the
+    shape of t, so the spatial work is done once per call however many
+    times it carries; only the products g_i h_i have the broadcast shape.
     """
     if isinstance(expr, sym.MatrixBase):
         axes = (expr.rows,) if expr.cols == 1 else expr.shape
     else:
         axes, expr = (), sym.Matrix([expr])
-    fn = sym.lambdify((_X, _Y, _T), list(expr), modules="numpy", cse=True)
+    pairs = []  # per entry, its (g_i, h_i) factor pairs
+    for entry in expr:
+        groups = {}
+        for term in sym.Add.make_args(entry):
+            g, h = term.as_independent(_T, as_Add=False)
+            if h.has(_X, _Y):
+                g, h = sym.S.One, term
+            groups.setdefault(h, []).append(g)
+        pairs.append([(sym.Add(*gs), h) for h, gs in groups.items()])
+    flat = [factor for entry in pairs for pair in entry for factor in pair]
+    fn = sym.lambdify((_X, _Y, _T), flat, modules="numpy", cse=True)
 
     def closed_form(x, y, t):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
-        out = np.empty(shape + (len(expr),))
-        for i, value in enumerate(fn(x, y, t)):
-            out[..., i] = value
+        factors = iter(fn(x, y, t))
+        out = np.empty(shape + (len(pairs),))
+        for i, entry in enumerate(pairs):
+            np.multiply(next(factors), next(factors), out=out[..., i])
+            for _ in entry[1:]:
+                out[..., i] += next(factors) * next(factors)
         return out.reshape(shape + axes)
 
     return closed_form

@@ -9,6 +9,7 @@ equation hold at n = 0 as well.
 """
 
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -174,10 +175,11 @@ def step(system, U_prev, dtU_prev, k, load):
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("solution contains non-finite entries")
 
-    r1 = system.M_sigma @ Sigma - system.B.T @ U
+    M_Sigma = system.M_sigma @ Sigma
+    r1 = M_Sigma - system.B.T @ U
     r2 = system.B @ Sigma + system.M_u @ U / k ** 2 - rhs_u
     scale = max(
-        np.abs(system.M_sigma @ Sigma).max(initial=0.0),
+        np.abs(M_Sigma).max(initial=0.0),
         np.abs(rhs_u).max(initial=0.0),
         1e-300,
     )
@@ -382,30 +384,52 @@ def _read_exact(fh, size, path):
 def load_states(directory):
     """Read back (nodes, U, Sigma, dtU) written by save_trajectory.
 
-    Raises SolverError when grid.csv cannot be parsed (naming its line)
-    or its nodes fail TimeGrid's check, when a state file is truncated,
-    carries trailing bytes, or disagrees with the first file on the
-    block sizes.
+    Raises SolverError when grid.csv cannot be parsed, or a row's n is
+    not its index or its k_n not the step t_n - t_{n-1} (naming the
+    line), or its nodes fail TimeGrid's check; when the state files are
+    not exactly state_0.bin ... state_N.bin for its N + 1 rows; when a
+    state file is truncated, carries trailing bytes, or disagrees with
+    the first file on the block sizes.
     """
     path = os.path.join(directory, "grid.csv")
     with open(path) as fh:
         lines = fh.read().splitlines()
     if lines[:1] != ["n,t_n,k_n"]:
         raise SolverError("{} line 1: expected the header n,t_n,k_n".format(path))
-    nodes = []
-    for i, line in enumerate(lines[1:], start=2):
+    nodes, steps = [], []
+    for n, line in enumerate(lines[1:]):
+        where = "{} line {}".format(path, n + 2)
         try:
-            nodes.append(float(line.split(",")[1]))
-        except (IndexError, ValueError):
-            raise SolverError("{} line {}: no time in {!r}".format(path, i, line)) from None
+            index, t, k = line.split(",")
+            index, t, k = int(index), float(t), float(k)
+        except ValueError:
+            raise SolverError("{}: expected n,t_n,k_n, got {!r}".format(where, line)) from None
+        if index != n:
+            raise SolverError("{}: n is {}, expected {}".format(where, index, n))
+        nodes.append(t)
+        steps.append(k)
     try:
         nodes = TimeGrid(nodes).nodes
     except GridError as exc:
         raise GridError("{}: {}".format(path, exc)) from None
+    for n, k in enumerate(steps):
+        step = nodes[n] - nodes[n - 1] if n else 0.0
+        if abs(k - step) > 1e-12 * abs(nodes[n]):
+            raise SolverError("{} line {}: k_n is {!r}, but t_n - t_(n-1) is {!r}".format(
+                path, n + 2, k, step))
+    expected = {"state_{}.bin".format(n) for n in range(len(nodes))}
+    extra = sorted(
+        name for name in os.listdir(directory)
+        if re.fullmatch(r"state_\d+\.bin", name) and name not in expected
+    )
+    if extra:
+        raise SolverError("{} has no row in {}".format(os.path.join(directory, extra[0]), path))
     U, Sigma, dtU = [], [], []
     sizes = None
     for n in range(len(nodes)):
         path = os.path.join(directory, "state_{}.bin".format(n))
+        if not os.path.isfile(path):
+            raise SolverError("{} is missing: grid.csv has {} rows".format(path, len(nodes)))
         with open(path, "rb") as fh:
             if fh.read(8) != _MAGIC:
                 raise SolverError("bad magic in {}".format(path))

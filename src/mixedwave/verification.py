@@ -4,11 +4,16 @@ Problems are registered as closed-form sympy expressions; the stress
 sigma = -A grad u and the forcing f = u_tt + div sigma are derived
 symbolically, so the strong equation holds by construction and is
 re-checked numerically at registration.  The derived f and div sigma
-are lambdified as differentiated, without simplification: common
-subexpression elimination in the generated code makes them as cheap to
-evaluate as a simplified form, at a small fraction of the symbolic
-cost.  Convergence studies couple the step size to the mesh (spatial)
-or fix the mesh and halve the step against a fine reference (temporal).
+are lambdified as differentiated, without expansion or simplification.
+Every closed form is evaluated as a separated sum sum_i g_i(x, y) h_i(t)
+of its terms (assembly._closed_form): a call with many times, such as
+a step's five Gauss times or a block of true-error nodes, computes the
+spatial factors once, and only the products g_i h_i take the full
+broadcast shape.  True errors are evaluated in blocks of nodes, each
+block one call per closed form, sized so that every temporary stays
+under 1 MiB.  Convergence studies couple the step size to the mesh
+(spatial) or fix the mesh and halve the step against a fine reference
+(temporal).
 """
 
 from dataclasses import dataclass, field
@@ -19,9 +24,7 @@ import sympy as sym
 from . import estimators as est
 from . import reconstruction as rec
 from . import solver
-from .assembly import (
-    _T, _X, _Y, Coefficient, _closed_form, assemble_system, disp_l2_norm,
-)
+from .assembly import _T, _X, _Y, Coefficient, _closed_form, assemble_system
 from .mesh import unit_square_mesh
 from .spaces import MixedSpace
 
@@ -39,8 +42,11 @@ class ManufacturedProblem:
     """Closed-form exact solution of u_tt - div(A grad u) = f.
 
     All callables take (x, y, t) arrays that broadcast against each other
-    (the solver passes a step's five Gauss times as t of shape (5, 1, 1));
-    sigma returns the broadcast shape + (2,) and A is a Coefficient.  f
+    (the solver passes a step's five Gauss times as t of shape (5, 1, 1),
+    true_error a block of nodes as t of shape (m, 1, 1)); sigma returns
+    the broadcast shape + (2,) and A is a Coefficient.  Each callable
+    evaluates its expression as a separated sum sum_i g_i(x, y) h_i(t),
+    the spatial factors once per call whatever the number of times.  f
     and div_sigma evaluate the unsimplified derived expressions.  f is
     None when the derived sum u_tt + div sigma cancels term by term (no
     simplification is tried).
@@ -85,21 +91,23 @@ def manufactured(name, u_expr, A_entries=None, final_time=0.5):
     A_entries is a 2x2 nested list of sympy expressions in x and y
     (identity when None).  Its Matrix is both the Coefficient and the A
     of sigma = -A grad u; sigma and f are derived symbolically,
-    lambdified unsimplified with common subexpression elimination, and
-    the result is self-checked at 100 random samples.
+    lambdified unsimplified and unexpanded as separated space-time sums
+    (assembly._closed_form), and the result is self-checked at 100
+    random samples.
     """
     A_mat = sym.eye(2) if A_entries is None else sym.Matrix(A_entries)
     grad_u = sym.Matrix([sym.diff(u_expr, _X), sym.diff(u_expr, _Y)])
     sigma_vec = -A_mat * grad_u
     div_sigma = sym.diff(sigma_vec[0], _X) + sym.diff(sigma_vec[1], _Y)
-    u_tt = sym.diff(u_expr, _T, 2)
+    u_t = sym.diff(u_expr, _T)
+    u_tt = sym.diff(u_t, _T)
     f_expr = u_tt + div_sigma
 
     prob = ManufacturedProblem(
         name=name,
         A=Coefficient(A_mat),
         u=_closed_form(u_expr),
-        u_t=_closed_form(sym.diff(u_expr, _T)),
+        u_t=_closed_form(u_t),
         u_tt=_closed_form(u_tt),
         sigma=_closed_form(sigma_vec),
         div_sigma=_closed_form(div_sigma),
@@ -144,41 +152,55 @@ PROBLEMS = {
 # true errors
 # ----------------------------------------------------------------------
 
-def _disp_error(space, coefficients, exact, t):
-    """||U - exact(t)|| for displacement coefficients U at one node."""
+# Nodes per true-error evaluation block come from this budget of
+# quadrature points: the (nodes, T, nq, 2) stress stack of a block, the
+# largest temporary, stays at 512 KiB or less, under 1 MiB, so the
+# allocator reuses freed heap blocks instead of mapping zeroed pages.
+_BLOCK_POINTS = 1 << 15
+
+
+def _disp_error(space, rows, exact, t):
+    """||U - exact(t)|| for displacement rows U (..., n_disp) at times t (...)."""
     pts = space.quad_points
-    d = space.disp_values(coefficients) - exact(pts[..., 0], pts[..., 1], t)
-    return disp_l2_norm(space, d)
+    d = space.disp_values(rows)
+    d -= exact(pts[..., 0], pts[..., 1], np.asarray(t, dtype=float)[..., None, None])
+    return np.sqrt(np.einsum("tq,...tq->...", space.quad_weights, d * d))
 
 
-def _stress_error(space, alpha, coefficients, exact, t):
-    """||Sigma - exact(t)||_{A^-1} for stress coefficients Sigma at one node.
+def _stress_error(space, alpha, rows, exact, t):
+    """||Sigma - exact(t)||_{A^-1} for stress rows Sigma (..., n_stress) at times t (...).
 
     The pointwise quadratic form d^T alpha d is written out for 2 x 2 alpha.
     """
     pts = space.quad_points
-    d = space.stress_values(coefficients) - exact(pts[..., 0], pts[..., 1], t)
+    d = space.stress_values(rows)
+    d -= exact(pts[..., 0], pts[..., 1], np.asarray(t, dtype=float)[..., None, None])
     d0, d1 = d[..., 0], d[..., 1]
     form = (
         alpha[..., 0, 0] * d0 * d0
         + (alpha[..., 0, 1] + alpha[..., 1, 0]) * d0 * d1
         + alpha[..., 1, 1] * d1 * d1
     )
-    return float(np.sqrt(space.quad_weights.ravel() @ form.ravel()))
+    return np.sqrt(np.einsum("tq,...tq->...", space.quad_weights, form))
 
 
 def true_error(traj, problem):
     """Per-node errors ||U^n - u(t_n)|| and ||Sigma^n - sigma(t_n)||_{A^-1}.
 
     The stress norm is weighted by the run's own alpha (traj.system.alpha).
+    u and sigma are evaluated for a block of nodes per call, their times
+    broadcast against the points, with as many nodes per block as
+    _BLOCK_POINTS allows.
     """
     space, alpha = traj.space, traj.system.alpha
-    N = traj.grid.num_steps
-    err_u = np.zeros(N + 1)
-    err_s = np.zeros(N + 1)
-    for m, t in enumerate(traj.grid.nodes):
-        err_u[m] = _disp_error(space, traj.U[m], problem.u, t)
-        err_s[m] = _stress_error(space, alpha, traj.Sigma[m], problem.sigma, t)
+    nodes = traj.grid.nodes
+    block = max(1, _BLOCK_POINTS // space.quad_weights.size)
+    err_u = np.empty(len(nodes))
+    err_s = np.empty(len(nodes))
+    for start in range(0, len(nodes), block):
+        b = slice(start, start + block)
+        err_u[b] = _disp_error(space, traj.U[b], problem.u, nodes[b])
+        err_s[b] = _stress_error(space, alpha, traj.Sigma[b], problem.sigma, nodes[b])
     return err_u, err_s
 
 
@@ -186,9 +208,9 @@ def initial_errors(traj, problem):
     """(||e_u(0)||, ||e_{u,t}(0)||, ||e_sigma(0)||_{A^-1}), as in true_error."""
     space, alpha = traj.space, traj.system.alpha
     return (
-        _disp_error(space, traj.U[0], problem.u, 0.0),
-        _disp_error(space, traj.dtU[0], problem.u_t, 0.0),
-        _stress_error(space, alpha, traj.Sigma[0], problem.sigma, 0.0),
+        float(_disp_error(space, traj.U[0], problem.u, 0.0)),
+        float(_disp_error(space, traj.dtU[0], problem.u_t, 0.0)),
+        float(_stress_error(space, alpha, traj.Sigma[0], problem.sigma, 0.0)),
     )
 
 

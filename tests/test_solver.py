@@ -250,6 +250,41 @@ def test_non_increasing_grid_file_nodes_raise(tmp_path):
         solver.load_states(out)
 
 
+def _rewrite_grid(out, edit):
+    """Rewrite the rows of a saved grid.csv (header kept) with `edit`."""
+    path = out / "grid.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + edit(rows)) + "\n")
+
+
+def test_fewer_grid_rows_than_state_files_raise(tmp_path):
+    out = _saved_trajectory(tmp_path / "out")
+    _rewrite_grid(out, lambda rows: rows[:2])
+    with pytest.raises(solver.SolverError, match=r"state_2\.bin has no row in .*grid\.csv"):
+        solver.load_states(out)
+
+
+def test_grid_row_without_state_file_raises(tmp_path):
+    out = _saved_trajectory(tmp_path / "out")
+    _rewrite_grid(out, lambda rows: rows + ["4,0.4,0.1"])
+    with pytest.raises(solver.SolverError, match=r"state_4\.bin is missing"):
+        solver.load_states(out)
+
+
+def test_wrong_node_index_in_grid_file_raises(tmp_path):
+    out = _saved_trajectory(tmp_path / "out")
+    _rewrite_grid(out, lambda rows: [rows[0], "7" + rows[1][1:]] + rows[2:])
+    with pytest.raises(solver.SolverError, match=r"grid\.csv line 3: n is 7, expected 1"):
+        solver.load_states(out)
+
+
+def test_wrong_step_in_grid_file_raises(tmp_path):
+    out = _saved_trajectory(tmp_path / "out")
+    _rewrite_grid(out, lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + ",0.2"] + rows[3:])
+    with pytest.raises(solver.SolverError, match=r"grid\.csv line 4: k_n is 0\.2"):
+        solver.load_states(out)
+
+
 def test_interrupted_save_leaves_no_short_state_file(tmp_path, monkeypatch):
     u0, u1 = _standing_data()
     space = MixedSpace(unit_square_mesh(3), 1)

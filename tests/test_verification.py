@@ -4,7 +4,7 @@ import sympy as sym
 
 from mixedwave import estimators as est
 from mixedwave import verification as ver
-from mixedwave.assembly import Coefficient
+from mixedwave.assembly import Coefficient, _closed_form
 from mixedwave.mesh import unit_square_mesh
 from mixedwave.spaces import MixedSpace
 
@@ -229,3 +229,76 @@ def test_a_variable_coefficient_round_evaluates_alpha_once(monkeypatch):
     quad = traj.space.quad_points
     at_quad = [p for p in calls if p.shape == quad.shape and np.array_equal(p, quad)]
     assert len(at_quad) == 1
+
+
+def _unseparated(expr, x, y, t):
+    """expr evaluated entry by entry, each a plain lambdified function."""
+    if isinstance(expr, sym.MatrixBase):
+        axes = (expr.rows,) if expr.cols == 1 else expr.shape
+    else:
+        axes, expr = (), sym.Matrix([expr])
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+    entries = [
+        np.broadcast_to(sym.lambdify((ver._X, ver._Y, ver._T), e, "numpy")(x, y, t), shape)
+        for e in expr
+    ]
+    return np.stack(entries, axis=-1).reshape(shape + axes)
+
+
+_FULL = [[2 + ver._X, ver._Y / 2], [ver._Y / 2, 1 + ver._Y]]
+
+
+def _registered_closed_forms(monkeypatch):
+    """(expr, closed form) of every registered problem and of a full-A problem."""
+    made = []
+
+    def recording(expr):
+        made.append((expr, _closed_form(expr)))
+        return made[-1][1]
+
+    monkeypatch.setattr(ver, "_closed_form", recording)
+    for factory in ver.PROBLEMS.values():
+        factory()
+    ver.manufactured("full", ver._MODE * sym.cos(sym.sqrt(2) * sym.pi * ver._T), _FULL)
+    return made
+
+
+def test_separated_closed_forms_match_unseparated_lambdify(monkeypatch):
+    made = _registered_closed_forms(monkeypatch)
+    # u, u_t, u_tt, sigma, div sigma of 4 problems and f of the 3 forced
+    assert len(made) == 23
+    x, y, t = sym.symbols("x y t", real=True)
+    made += [
+        (sym.Matrix(_FULL), _closed_form(sym.Matrix(_FULL))),
+        (sym.sin(sym.pi * x * t) + x * t ** 2, None),
+        (sym.Matrix([x * sym.cos(t) + sym.sin(x * t) * y, (sym.cos(t) + x) * y]), None),
+        (sym.Integer(3), None),
+    ]
+    pts = MixedSpace(unit_square_mesh(3), 1).quad_points
+    grid = (pts[..., 0], pts[..., 1], np.linspace(0.0, 0.5, 7).reshape(7, 1, 1))
+    for expr, fn in made:
+        fn = fn or _closed_form(expr)
+        for x, y, t in (grid, _random_points()):
+            want = _unseparated(expr, x, y, t)
+            got = fn(x, y, t)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_true_error_blocks_match_a_per_node_loop():
+    p = ver.manufactured("full", ver._MODE * sym.cos(sym.sqrt(2) * sym.pi * ver._T), _FULL)
+    traj = ver.solve_problem(p, 8, 39, T=0.2, rt_index=1)
+    nodes = traj.grid.nodes
+    block = ver._BLOCK_POINTS // traj.space.quad_weights.size
+    assert 1 < block < len(nodes) and len(nodes) % block != 0
+    err_u, err_s = ver.true_error(traj, p)
+
+    space, alpha, w = traj.space, traj.system.alpha, traj.space.quad_weights
+    x, y = space.quad_points[..., 0], space.quad_points[..., 1]
+    for n, t in enumerate(nodes):
+        du = space.disp_values(traj.U[n]) - p.u(x, y, t)
+        ds = space.stress_values(traj.Sigma[n]) - p.sigma(x, y, t)
+        want_u = np.sqrt(np.einsum("tq,tq->", w, du * du))
+        want_s = np.sqrt(np.einsum("tq,tqcd,tqc,tqd->", w, alpha, ds, ds))
+        np.testing.assert_allclose(err_u[n], want_u, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(err_s[n], want_s, rtol=1e-13, atol=0.0)
