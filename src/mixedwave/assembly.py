@@ -134,15 +134,23 @@ class SaddleSystem:
     """The discrete mixed forms of one (space, coefficient) pair.
 
     alpha : A^-1 at space.quad_points, (T, nq, 2, 2)
+    stress_blocks : per-cell (alpha phi_j, phi_i), (T, n_loc_stress, n_loc_stress)
+    div_blocks : per-cell (div phi_j, psi_a), (T, n_loc_disp, n_loc_stress)
     M_sigma : (alpha Sigma, v), n_stress x n_stress, SPD
     B : (div Sigma, w), n_disp x n_stress
     M_u : (U, w), n_disp x n_disp, cell-block-diagonal SPD
     estimator_ops : the EstimatorOperators, built from alpha on first use
+
+    The blocks are in the local dof order of space.cell_stress_dofs and
+    space.cell_disp_dofs; M_sigma and B are their scattered sums, and the
+    elliptic reconstruction condenses them cell by cell.
     """
 
     space: MixedSpace
     coefficient: Coefficient
     alpha: np.ndarray = field(repr=False)
+    stress_blocks: np.ndarray = field(repr=False)
+    div_blocks: np.ndarray = field(repr=False)
     M_sigma: sp.csr_matrix
     B: sp.csr_matrix
     M_u: sp.csr_matrix
@@ -160,26 +168,41 @@ def _block_diag(blocks):
     return sp.bsr_matrix((blocks, k[:-1], k), shape=(2 * k[-1], 2 * k[-1]))
 
 
+def _scatter(blocks, rows, cols, shape):
+    """CSR sum of per-cell blocks (T, a, b) at dofs rows (T, a) x cols (T, b)."""
+    r = np.broadcast_to(rows[:, :, None], blocks.shape)
+    c = np.broadcast_to(cols[:, None, :], blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=shape)
+
+
 def assemble_system(space, A=None):
     """Assemble M_sigma, B and M_u for coefficient A (identity default).
 
-    With S, D and V the stress, divergence and displacement quadrature
-    maps and W the quadrature weights: M_sigma = S^T blk(w alpha) S,
-    B = V^T W D and M_u = V^T W V.
+    With phi, div phi and psi the local bases at the cell quadrature
+    (MixedSpace.local_quad_values) and w its weights, each cell's blocks
+    are batched matmuls: sum_q w alpha phi_j . phi_i, sum_q w div phi_j
+    psi_a and sum_q w psi_b psi_a.  The matrices are scattered from them.
     """
     coeff = A if isinstance(A, Coefficient) else Coefficient(A)
     w = space.quad_weights
     alpha = coeff.alpha_at(space.quad_points)  # (T, nq, 2, 2)
-    S, V = space.stress_quad_map, space.disp_quad_map
-    M_sigma = S.T @ _block_diag(w[..., None, None] * alpha) @ S
-    VtW = (V.T @ sp.diags(w.ravel())).tocsr()
+    phi, div, psi = space.local_quad_values()
+    T, nl = len(w), space.n_loc_stress
+    w_psi_t = np.swapaxes(w[..., None] * psi, 1, 2)  # (T, nd, nq)
+    w_alpha_phi = ((w[..., None, None] * alpha) @ phi).reshape(T, -1, nl)
+    stress_blocks = np.swapaxes(phi.reshape(T, -1, nl), 1, 2) @ w_alpha_phi
+    div_blocks = w_psi_t @ div
+    sd, dd = space.cell_stress_dofs, space.cell_disp_dofs
+    n_s, n_d = space.n_stress, space.n_disp
     return SaddleSystem(
         space=space,
         coefficient=coeff,
         alpha=alpha,
-        M_sigma=M_sigma.tocsr(),
-        B=VtW @ space.div_quad_map,
-        M_u=VtW @ V,
+        stress_blocks=stress_blocks,
+        div_blocks=div_blocks,
+        M_sigma=_scatter(stress_blocks, sd, sd, (n_s, n_s)),
+        B=_scatter(div_blocks, dd, sd, (n_d, n_s)),
+        M_u=_scatter(w_psi_t @ psi, dd, dd, (n_d, n_d)),
     )
 
 

@@ -189,13 +189,26 @@ def step(system, U_prev, dtU_prev, k, load):
     return U, Sigma, dtU
 
 
+def _checked(matrix, x, rhs, what):
+    """x, once matrix @ x = rhs is checked to hold to 1e-10 relative."""
+    Mx = matrix @ x
+    scale = max(np.abs(Mx).max(initial=0.0), np.abs(rhs).max(initial=0.0), 1e-300)
+    if not np.abs(Mx - rhs).max(initial=0.0) <= 1e-10 * scale:
+        raise ToleranceNotMetError("{} residual exceeds 1e-10 relative".format(what))
+    return x
+
+
 def initial_stress(system, U0):
-    """Sigma^0 from (alpha Sigma^0, v) = (U^0, div v) for all v_h."""
+    """Sigma^0 from (alpha Sigma^0, v) = (U^0, div v) for all v_h.
+
+    Residuals above 1e-10 relative raise ToleranceNotMetError, as in step.
+    """
     try:
         lu = spla.splu(system.M_sigma.tocsc())
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
-    return lu.solve(system.B.T @ U0)
+    rhs = system.B.T @ U0
+    return _checked(system.M_sigma, lu.solve(rhs), rhs, "initial stress")
 
 
 def initial_acceleration(traj):
@@ -204,10 +217,12 @@ def initial_acceleration(traj):
     The scheme leaves the second difference at node 0 undefined; this is
     the value the spatially discrete equation assigns at t = 0, and it
     makes the second residual vanish on the discrete space at n = 0.
+    Like initial_stress, it raises ToleranceNotMetError when the solve
+    leaves a residual above 1e-10 relative.
     """
     s = traj.system
     rhs = traj.f_bar[0] - s.B @ traj.Sigma[0]
-    return spla.spsolve(s.M_u.tocsc(), rhs)
+    return _checked(s.M_u, spla.spsolve(s.M_u.tocsc(), rhs), rhs, "initial acceleration")
 
 
 def _check_forcing_mode(forcing_mode):

@@ -17,7 +17,8 @@ or a displacement row of length n_disp, or a stack of such rows.  Each
 space builds its three sparse quadrature maps (stress_quad_map,
 div_quad_map, disp_quad_map) at construction; they are the only copy of
 the basis at the cell quadrature, and assembly, loads and estimator
-operators are products with them.  MixedSpace.stress_values, div_values
+operators are built from them (MixedSpace.local_quad_values reads
+their entries as per-cell arrays).  MixedSpace.stress_values, div_values
 and disp_values apply them to rows; eval_*_basis evaluates the local
 bases at any points.  This module alone knows the stress
 degree-of-freedom layout: edge dof (l + 1) e + i is the normal moment on
@@ -256,6 +257,21 @@ class MixedSpace:
         """Displacement basis (local monomials): (..., nq, n_loc_disp)."""
         loc = self._local_coords(cells, pts)
         return _monomials(self.disp_exponents, loc)
+
+    def local_quad_values(self):
+        """The quadrature maps' entries as per-cell arrays, without a copy.
+
+        _cell_rows stores each row's entries in local dof order, so the
+        maps' data are the local bases at quad_points: the stress basis
+        (T, nq, 2, n_loc_stress), its divergence (T, nq, n_loc_stress)
+        and the displacement basis (T, nq, n_loc_disp).
+        """
+        T, nq = self.quad_weights.shape
+        return (
+            self.stress_quad_map.data.reshape(T, nq, 2, self.n_loc_stress),
+            self.div_quad_map.data.reshape(T, nq, self.n_loc_stress),
+            self.disp_quad_map.data.reshape(T, nq, self.n_loc_disp),
+        )
 
     def edge_quadrature(self, edges=None):
         """The space's edge rule on (a subset of) the edges.

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+import sympy as sym
 
 from mixedwave import reconstruction as rec
 from mixedwave import solver
-from mixedwave.assembly import assemble_load, assemble_system, disp_l2_norm_cellwise
-from mixedwave.mesh import unit_square_mesh
+from mixedwave.assembly import _X, _Y, assemble_load, assemble_system, disp_l2_norm_cellwise
+from mixedwave.mesh import build_mesh, unit_square_mesh
 from mixedwave.spaces import MixedSpace
 
 
@@ -180,20 +185,71 @@ def test_stacked_right_hand_sides_match_single_solves(l):
         np.testing.assert_allclose(s[row], s1, rtol=1e-12, atol=1e-12 * np.abs(s1).max())
 
 
+def _jittered_mesh(n):
+    """n x n grid with interior vertices moved by up to h/10 per axis."""
+    base = unit_square_mesh(n)
+    v = np.array(base.vertices)
+    interior = np.all((v > 0.0) & (v < 1.0), axis=1)
+    v[interior] += np.random.default_rng(11).uniform(-0.1 / n, 0.1 / n, (interior.sum(), 2))
+    return build_mesh(v, base.cells)
+
+
+def _holed_mesh():
+    """An 8 x 8 grid without the two cells of one interior square."""
+    base = unit_square_mesh(8)
+    square = 2 * (3 * 8 + 4)
+    return build_mesh(base.vertices, np.delete(base.cells, [square, square + 1], axis=0))
+
+
+_MESHES = {
+    "jittered": lambda: _jittered_mesh(4),
+    "holed": _holed_mesh,
+    # no interior edge, so no multiplier
+    "one cell": lambda: build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]]),
+}
+
+
+def _saddle_solve(system, rhs):
+    """(u, sigma) rows of the mixed problem from one sparse saddle-point solve."""
+    n_s = system.space.n_stress
+    K = sp.bmat([[system.M_sigma, -system.B.T], [system.B, None]], format="csc")
+    b = np.hstack([np.zeros((len(rhs), n_s)), rhs]).T
+    sol = spla.spsolve(K, b).reshape(len(b), -1)
+    return sol[n_s:].T, sol[:n_s].T
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("mesh", sorted(_MESHES))
+def test_reconstruction_matches_a_saddle_point_solve(mesh, l):
+    # the full coefficient couples x and y; it goes with the jittered mesh
+    A = sym.Matrix([[2 + _X, _Y / 2], [_Y / 2, 1 + _Y]]) if mesh == "jittered" else None
+    system = assemble_system(MixedSpace(_MESHES[mesh](), l), A)
+    rhs = np.random.default_rng(7).standard_normal((3, system.space.n_disp))
+    ref_u, ref_s = _saddle_solve(system, rhs)
+    for rows, u_want, s_want in ((rhs, ref_u, ref_s), (rhs[0], ref_u[0], ref_s[0])):
+        u, s = rec.reconstruct_elliptic(system, rows)
+        assert u.flags.c_contiguous and s.flags.c_contiguous
+        for got, want in ((u, u_want), (s, s_want)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def test_reconstruction_solve_checks_its_residual(monkeypatch):
-    # a factor whose solutions are off by 1e-8 relative trips the 1e-10
-    # residual check; the exact factor passes it
+    # multipliers off by 1e-8 relative leave the two copies of each edge
+    # dof apart, which trips the 1e-10 residual check on the mixed
+    # equations; the exact multiplier solve passes it
     space = MixedSpace(unit_square_mesh(3), 1)
     system = assemble_system(space)
     rhs = np.random.default_rng(3).standard_normal((5, space.n_disp))
     rec.reconstruct_elliptic(system, rhs)
-    lu = rec._elliptic_factor(system)
+    condensed = rec._condense(system)
 
     class Perturbed:
         def solve(self, b):
-            return lu.solve(b) * (1.0 + 1e-8)
+            return condensed.lu.solve(b) * (1.0 + 1e-8)
 
-    monkeypatch.setitem(system._factor_cache, "elliptic", Perturbed())
+    perturbed = dataclasses.replace(condensed, lu=Perturbed())
+    monkeypatch.setitem(system._factor_cache, "elliptic", perturbed)
     with pytest.raises(solver.ToleranceNotMetError, match="1e-10"):
         rec.reconstruct_elliptic(system, rhs)
     with pytest.raises(solver.ToleranceNotMetError):

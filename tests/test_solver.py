@@ -90,6 +90,42 @@ def test_initial_acceleration_solves_discrete_equation():
     assert np.abs(r).max() < 1e-11
 
 
+def test_initial_stress_checks_its_residual(monkeypatch):
+    # a mass-matrix factor whose solutions are off by 1e-8 relative trips
+    # the 1e-10 residual check
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space)
+    U0 = np.random.default_rng(4).standard_normal(space.n_disp)
+    Sigma0 = solver.initial_stress(system, U0)
+    np.testing.assert_allclose(system.M_sigma @ Sigma0, system.B.T @ U0, rtol=0, atol=1e-12)
+    splu = solver.spla.splu
+
+    class Perturbed:
+        def __init__(self, matrix):
+            self.lu = splu(matrix)
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1.0 + 1e-8)
+
+    monkeypatch.setattr(solver.spla, "splu", Perturbed)
+    with pytest.raises(solver.ToleranceNotMetError, match="initial stress"):
+        solver.initial_stress(system, U0)
+
+
+def test_initial_acceleration_checks_its_residual(monkeypatch):
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space)
+    f = lambda x, y, t: (1.0 + x + t) * np.ones_like(x)
+    traj = solver.run(system, f, *_standing_data(), solver.uniform_grid(0.2, 2))
+    solver.initial_acceleration(traj)
+    spsolve = solver.spla.spsolve
+    monkeypatch.setattr(
+        solver.spla, "spsolve", lambda A, b: spsolve(A, b) * (1.0 + 1e-8)
+    )
+    with pytest.raises(solver.ToleranceNotMetError, match="initial acceleration"):
+        solver.initial_acceleration(traj)
+
+
 def test_second_differences_start_from_the_initial_acceleration():
     space = MixedSpace(unit_square_mesh(3), 1)
     system = assemble_system(space)

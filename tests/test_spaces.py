@@ -165,3 +165,18 @@ def test_quadrature_maps_match_basis_evaluation(l):
         assert got.shape == (2, 3) + values(row).shape
         for i, j in np.ndindex(2, 3):
             assert np.array_equal(got[i, j], values(stack[i, j]))
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_local_quad_values_are_the_local_bases(l):
+    space = sp.MixedSpace(unit_square_mesh(3), l)
+    cells, pts = np.arange(space.mesh.num_cells), space.quad_points
+    phi, div, psi = space.local_quad_values()
+    np.testing.assert_array_equal(phi, np.swapaxes(space.eval_stress_basis(cells, pts), -1, -2))
+    np.testing.assert_array_equal(div, space.eval_div_basis(cells, pts))
+    np.testing.assert_array_equal(psi, space.eval_disp_basis(cells, pts))
+    # views of the maps' entries, not copies
+    for local, op in zip((phi, div, psi), (
+        space.stress_quad_map, space.div_quad_map, space.disp_quad_map
+    )):
+        assert np.shares_memory(local, op.data)
