@@ -136,14 +136,15 @@ class SaddleSystem:
     alpha : A^-1 at space.quad_points, (T, nq, 2, 2)
     stress_blocks : per-cell (alpha phi_j, phi_i), (T, n_loc_stress, n_loc_stress)
     div_blocks : per-cell (div phi_j, psi_a), (T, n_loc_disp, n_loc_stress)
+    disp_blocks : per-cell (psi_b, psi_a), (T, n_loc_disp, n_loc_disp)
     M_sigma : (alpha Sigma, v), n_stress x n_stress, SPD
     B : (div Sigma, w), n_disp x n_stress
     M_u : (U, w), n_disp x n_disp, cell-block-diagonal SPD
     estimator_ops : the EstimatorOperators, built from alpha on first use
 
     The blocks are in the local dof order of space.cell_stress_dofs and
-    space.cell_disp_dofs; M_sigma and B are their scattered sums, and the
-    elliptic reconstruction condenses them cell by cell.
+    space.cell_disp_dofs; M_sigma, B and M_u are their scattered sums, and
+    solver.solve_mixed condenses them cell by cell.
     """
 
     space: MixedSpace
@@ -151,6 +152,7 @@ class SaddleSystem:
     alpha: np.ndarray = field(repr=False)
     stress_blocks: np.ndarray = field(repr=False)
     div_blocks: np.ndarray = field(repr=False)
+    disp_blocks: np.ndarray = field(repr=False)
     M_sigma: sp.csr_matrix
     B: sp.csr_matrix
     M_u: sp.csr_matrix
@@ -192,6 +194,7 @@ def assemble_system(space, A=None):
     w_alpha_phi = ((w[..., None, None] * alpha) @ phi).reshape(T, -1, nl)
     stress_blocks = np.swapaxes(phi.reshape(T, -1, nl), 1, 2) @ w_alpha_phi
     div_blocks = w_psi_t @ div
+    disp_blocks = w_psi_t @ psi
     sd, dd = space.cell_stress_dofs, space.cell_disp_dofs
     n_s, n_d = space.n_stress, space.n_disp
     return SaddleSystem(
@@ -200,9 +203,10 @@ def assemble_system(space, A=None):
         alpha=alpha,
         stress_blocks=stress_blocks,
         div_blocks=div_blocks,
+        disp_blocks=disp_blocks,
         M_sigma=_scatter(stress_blocks, sd, sd, (n_s, n_s)),
         B=_scatter(div_blocks, dd, sd, (n_d, n_s)),
-        M_u=_scatter(w_psi_t @ psi, dd, dd, (n_d, n_d)),
+        M_u=_scatter(disp_blocks, dd, dd, (n_d, n_d)),
     )
 
 

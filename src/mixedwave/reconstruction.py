@@ -6,22 +6,19 @@ second derivative on each interval is (1 + mu^n(t)) d2V^n with the
 mean-zero linear weight mu^n.  The elliptic reconstruction solves, on an
 enriched space (a uniformly refined mesh with the same RT index), the
 stationary mixed problem whose mixed projection onto the run space is
-the computed pair (U^n, Sigma^n).  That problem is hybridized
-(Arnold-Brezzi): each cell's block is eliminated with one batched dense
-inverse, the l + 1 multipliers per interior edge solve one SPD system,
-factorized once for all nodes, and each cell's stress and displacement
-are recovered from its multipliers and load (_Condensed).
+the computed pair (U^n, Sigma^n).  That problem is the mixed system of
+a time step with no displacement mass, and it is solved the same way
+(solver.solve_mixed), with one factor for all nodes.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .assembly import _scatter, assemble_system
+from .assembly import assemble_system
 from .mesh import refine_uniform
-from .solver import SingularSystemError, TimeGrid, ToleranceNotMetError, load_vector
+from .solver import TimeGrid, load_vector, solve_mixed
 from .spaces import MixedSpace, _cell_rows, l2_project_local, rt_interpolate
 
 
@@ -166,153 +163,16 @@ def enrich_space(space, levels=1):
 # elliptic reconstruction
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Condensed:
-    """The enriched mixed problem condensed onto interior-edge multipliers.
-
-    Cell K keeps its own copy x_K = (sigma_K, u_K) of its local dofs and
-    solves L_K x_K + G_K^T lam = (0, g_K), L_K = [[A_K, -B_K^T], [B_K, 0]]
-    from its stress and divergence blocks and g_K its load.  lam has
-    l + 1 multipliers per interior edge, and G_K picks the local dofs on
-    interior edges, +1 on the left cell of the edge (Mesh.edge_cells) and
-    -1 on the right one, so sum_K G_K x_K = 0 makes the two copies of an
-    edge dof equal.  Eliminating x_K leaves the SPD system
-    S lam = sum_K G_K L_K^-1 (0, g_K), S = sum_K G_K L_K^-1 G_K^T.
-
-    lu : SuperLU of S
-    G : (n_mult, T ne) sparse, the G_K side by side; the ne = 3 (l + 1)
-        local edge dofs come first in each cell
-    slot : (T, ne) 1 + the multiplier of each local edge dof, 0 on the
-        boundary, for multipliers stacked behind a zero
-    edge_map, load_map : x_K = edge_map[K] lam[slot[K]] + load_map[K] g_K,
-        (T, nl + nd, ne) and (T, nl + nd, nd)
-    owner : (n_stress + n_disp,) flat (K, local dof) index of x that each
-        stress, then displacement, dof is read from
-    """
-
-    lu: object
-    G: sp.csr_matrix
-    slot: np.ndarray
-    edge_map: np.ndarray
-    load_map: np.ndarray
-    owner: np.ndarray
-
-
-def _condense(fine_system):
-    """The _Condensed form of `fine_system`, built on first use and kept."""
-    key = "elliptic"
-    if key in fine_system._factor_cache:
-        return fine_system._factor_cache[key]
-    space = fine_system.space
-    mesh, l = space.mesh, space.rt_index
-    T, nl, nd = mesh.num_cells, space.n_loc_stress, space.n_loc_disp
-    L = np.zeros((T, nl + nd, nl + nd))
-    L[:, :nl, :nl] = fine_system.stress_blocks
-    L[:, :nl, nl:] = -np.swapaxes(fine_system.div_blocks, 1, 2)
-    L[:, nl:, :nl] = fine_system.div_blocks
-    try:
-        Linv = np.linalg.inv(L)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-
-    # local edge dof j of cell K is column ne K + j of G; dof (l + 1) e + i
-    # lies on edge e
-    ne = 3 * (l + 1)
-    edge_dofs = space.cell_stress_dofs[:, :ne]
-    edge = edge_dofs // (l + 1)
-    interior = ~mesh.boundary_edge
-    mult = (l + 1) * (np.cumsum(interior) - 1)[edge] + edge_dofs % (l + 1)
-    slot = np.where(interior[edge], mult + 1, 0)
-    sign = np.where(mesh.edge_cells[edge, 0] == np.arange(T)[:, None], 1.0, -1.0)
-    n = (l + 1) * int(interior.sum()) + 1  # multipliers and the boundary's zero
-    G = sp.csr_matrix((sign.ravel(), (slot.ravel(), np.arange(T * ne))), shape=(n, T * ne))
-    block = sign[:, :, None] * sign[:, None, :] * Linv[:, :ne, :ne]
-    S = _scatter(block, slot, slot, (n, n))[1:, 1:].tocsc()
-    try:
-        lu = spla.splu(S, permc_spec="COLAMD", diag_pivot_thresh=0.0)
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc)) from exc
-
-    local = (nl + nd) * np.arange(T)[:, None]
-    owner = np.empty(space.n_stress + space.n_disp, dtype=int)
-    owner[space.cell_stress_dofs] = local + np.arange(nl)
-    owner[space.n_stress + space.cell_disp_dofs] = local + np.arange(nl, nl + nd)
-    fine_system._factor_cache[key] = _Condensed(
-        lu=lu,
-        G=G[1:],
-        slot=slot,
-        edge_map=-sign[:, None, :] * Linv[:, :, :ne],
-        load_map=Linv[:, :, nl:],
-        owner=owner,
-    )
-    return fine_system._factor_cache[key]
-
-
-# right-hand sides per block of the local products and the residual check
-_CHUNK = 16
-
-
 def reconstruct_elliptic(fine_system, rhs_disp):
     """Solve the enriched mixed Poisson problem.
 
     Finds (sigma_t, u_t) with (alpha sigma_t, v) - (u_t, div v) = 0 and
     (div sigma_t, w) = (rhs_disp, w) for all enriched test functions;
     `rhs_disp` is already a load vector over the enriched displacement
-    basis, or an (m, n_disp) stack of them.  The problem is hybridized
-    (_Condensed): the multipliers of all m right-hand sides come from
-    one solve with one SPD factor, and each cell's (sigma, u) from its
-    multipliers and load, with every stress dof read from one cell.
-    Returns C-contiguous (u_t, sigma_t) coefficient rows, stacked like
-    `rhs_disp`.  Residuals of the mixed equations above 1e-10 relative
-    raise ToleranceNotMetError, as in solver.step; like the local
-    products, the check runs on blocks of _CHUNK right-hand sides.
+    basis, or an (m, n_disp) stack of them.  This is solver.solve_mixed
+    with weight 0, whose return value and residual check it shares.
     """
-    c = _condense(fine_system)
-    space = fine_system.space
-    T, n_s = space.mesh.num_cells, space.n_stress
-    rhs = np.asarray(rhs_disp, dtype=float)
-    loads = rhs.reshape(-1, space.n_disp)
-    m = len(loads)
-    blocks = [slice(i, i + _CHUNK) for i in range(0, m, _CHUNK)]
-
-    def by_cell(k):  # the loads of block k as (T, nd, block size)
-        return loads[k].T.reshape(T, space.n_loc_disp, -1)
-
-    b = np.empty((c.G.shape[0], m))
-    ne = c.slot.shape[1]
-    for k in blocks:
-        b[:, k] = c.G @ (c.load_map[:, :ne] @ by_cell(k)).reshape(c.G.shape[1], -1)
-    lam = np.zeros((len(b) + 1, m))
-    lam[1:] = c.lu.solve(b)
-    del b
-    if not np.all(np.isfinite(lam)):
-        raise SingularSystemError("reconstruction solve produced non-finite values")
-    u = np.empty((m, space.n_disp))
-    sigma = np.empty((m, n_s))
-    for k in blocks:
-        x = c.edge_map @ lam[c.slot, k] + c.load_map @ by_cell(k)
-        x = x.reshape(-1, x.shape[-1])[c.owner]  # (n_s + n_disp, block size)
-        _check_mixed(fine_system, x[:n_s], x[n_s:], loads[k].T)
-        sigma[k], u[k] = x[:n_s].T, x[n_s:].T
-    if rhs.ndim == 1:
-        return u[0], sigma[0]
-    return u, sigma
-
-
-def _max_abs(a):
-    """Largest |a| down each column, without an |a| temporary."""
-    return np.maximum(a.max(axis=0), -a.min(axis=0))
-
-
-def _check_mixed(system, sigma, u, rhs):
-    """Raise unless the columns of (sigma, u) solve the mixed equations to 1e-10."""
-    r1 = system.M_sigma @ sigma
-    scale = np.maximum(_max_abs(r1), _max_abs(rhs))
-    r1 -= system.B.T @ u
-    r2 = system.B @ sigma
-    r2 -= rhs
-    if not np.all(np.maximum(_max_abs(r1), _max_abs(r2)) <= 1e-10 * scale):
-        raise ToleranceNotMetError("reconstruction residual exceeds 1e-10 relative")
+    return solve_mixed(fine_system, 0.0, rhs_disp)
 
 
 @dataclass
@@ -348,20 +208,21 @@ def reconstruct_trajectory(traj, enriched=None):
         enriched = enrich_space(space)
     fine_system = assemble_system(enriched.fine, traj.system.coefficient)
 
-    loads = np.stack([
+    rhs = np.stack([
         load_vector(fine_system, traj.f, *traj.grid.interval(n), traj.forcing_mode)
         for n in range(traj.grid.num_steps + 1)
     ])
-    d2U_fine = fine_system.M_u @ (enriched.P_disp @ traj.d2U.T)
-    u_t, s_t = reconstruct_elliptic(fine_system, loads - d2U_fine.T)
+    rhs -= (fine_system.M_u @ (enriched.P_disp @ traj.d2U.T)).T
+    u_t, s_t = reconstruct_elliptic(fine_system, rhs)
+    del rhs  # before the transfers, which are as large
     return EllipticReconstruction(
         enriched=enriched,
         fine_system=fine_system,
         grid=traj.grid,
         u_tilde=u_t,
         sigma_tilde=s_t,
-        U_fine=traj.U @ enriched.P_disp.T,
-        Sigma_fine=traj.Sigma @ enriched.P_stress.T,
+        U_fine=np.ascontiguousarray((enriched.P_disp @ traj.U.T).T),
+        Sigma_fine=np.ascontiguousarray((enriched.P_stress @ traj.Sigma.T).T),
     )
 
 

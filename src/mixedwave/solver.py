@@ -1,11 +1,14 @@
 """Backward-difference time stepping of the fully discrete mixed scheme.
 
-Each step solves the coupled saddle system for (U^n, Sigma^n) obtained by
+Each step solves the coupled mixed system for (U^n, Sigma^n) obtained by
 eliminating the second backward difference
 d2U^n = (U^n - U^{n-1} - k_n dU^{n-1}) / k_n^2.  The first step uses
 dU^0 = P_h u1 and U^0 = P_h u0; the initial stress Sigma^0 solves
 (alpha Sigma^0, v) = (U^0, div v), which makes the first discrete
 equation hold at n = 0 as well.
+
+A step and the elliptic reconstruction solve one mixed system, of
+weight 1 / k_n^2 and 0, with one hybridized solver (solve_mixed).
 """
 
 import os
@@ -19,8 +22,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .assembly import SaddleSystem, disp_l2_norm, load_of_values
-from .spaces import l2_project_scalar
+from .assembly import SaddleSystem, _scatter, disp_l2_norm, load_of_values
+from .spaces import _cell_rows, l2_project_scalar
 
 # 5-point Gauss rule used for all time integrals
 _TIME_PTS, _TIME_WTS = quadrature.segment_rule(9)
@@ -139,52 +142,162 @@ class Trajectory:
         )
 
 
-def _saddle_matrix(system, k):
-    K = sp.bmat(
-        [
-            [system.M_sigma, -system.B.T],
-            [system.B, system.M_u / k ** 2],
-        ],
-        format="csc",
-    )
-    return K
+@dataclass(frozen=True)
+class _Condensed:
+    """The mixed system of weight c condensed onto interior-edge multipliers.
+
+    The mixed system is (alpha sigma, v) - (u, div v) = 0 and
+    (div sigma, w) + c (u, w) = (g, w): a time step has c = 1 / k^2 and
+    the elliptic reconstruction c = 0.  Cell K keeps its own copy
+    x_K = (sigma_K, u_K) of its local dofs and solves
+    L_K x_K + G_K^T lam = (0, g_K), L_K = [[A_K, -B_K^T], [B_K, c M_K]]
+    from its stress, divergence and displacement-mass blocks and g_K its
+    load; L_K is invertible for c >= 0.  lam has l + 1 multipliers per
+    interior edge, and G_K picks the local dofs on interior edges, +1 on
+    the left cell of the edge (Mesh.edge_cells) and -1 on the right one,
+    so sum_K G_K x_K = 0 makes the two copies of an edge dof equal.
+    Eliminating x_K leaves the SPD system
+    S lam = sum_K G_K L_K^-1 (0, g_K), S = sum_K G_K L_K^-1 G_K^T
+    (Arnold-Brezzi hybridization).
+
+    lu : SuperLU of S
+    rhs_map : (n_mult, n_disp) sparse, g -> sum_K G_K L_K^-1 (0, g_K)
+    lam_map, load_map : (n_stress + n_disp, n_mult) and
+        (n_stress + n_disp, n_disp) sparse; the stacked (sigma, u) is
+        lam_map lam + load_map g, with every stress dof read from one
+        cell's x_K
+    """
+
+    lu: object
+    rhs_map: sp.csr_matrix
+    lam_map: sp.csr_matrix
+    load_map: sp.csr_matrix
 
 
-def _factorize(system, k):
+def _condense(system, c):
+    """The _Condensed form of `system` for weight c, built on first use and kept."""
     # Steps that differ only by rounding (np.linspace nodes give several
     # float values for one nominal step) share one factorization.
-    key = float("%.12g" % k)
-    if key not in system._factor_cache:
-        try:
-            system._factor_cache[key] = spla.splu(_saddle_matrix(system, k))
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
+    key = float("%.12g" % c)
+    if key in system._factor_cache:
+        return system._factor_cache[key]
+    space = system.space
+    mesh, l = space.mesh, space.rt_index
+    T, nl, nd = mesh.num_cells, space.n_loc_stress, space.n_loc_disp
+    L = np.empty((T, nl + nd, nl + nd))
+    L[:, :nl, :nl] = system.stress_blocks
+    L[:, :nl, nl:] = -np.swapaxes(system.div_blocks, 1, 2)
+    L[:, nl:, :nl] = system.div_blocks
+    L[:, nl:, nl:] = c * system.disp_blocks
+    try:
+        Linv = np.linalg.inv(L)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+    # local edge dof (l + 1) e + i lies on edge e; multiplier slot 0
+    # stands for the boundary and is dropped from every map
+    ne = 3 * (l + 1)
+    edge_dofs = space.cell_stress_dofs[:, :ne]
+    edge = edge_dofs // (l + 1)
+    interior = ~mesh.boundary_edge
+    mult = (l + 1) * (np.cumsum(interior) - 1)[edge] + edge_dofs % (l + 1)
+    slot = np.where(interior[edge], mult + 1, 0)
+    sign = np.where(mesh.edge_cells[edge, 0] == np.arange(T)[:, None], 1.0, -1.0)
+    n = (l + 1) * int(interior.sum()) + 1  # multipliers and the boundary's zero
+    block = sign[:, :, None] * sign[:, None, :] * Linv[:, :ne, :ne]
+    S = _scatter(block, slot, slot, (n, n))[1:, 1:].tocsc()
+    try:
+        lu = spla.splu(S, permc_spec="COLAMD", diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+    # owner: the row of the cell copies x_K, stacked cell by cell, that
+    # each stress, then displacement, dof is read from
+    disp, n_d = space.cell_disp_dofs, space.n_disp
+    local = (nl + nd) * np.arange(T)[:, None]
+    owner = np.empty(space.n_stress + n_d, dtype=int)
+    owner[space.cell_stress_dofs] = local + np.arange(nl)
+    owner[space.n_stress + disp] = local + np.arange(nl, nl + nd)
+    system._factor_cache[key] = _Condensed(
+        lu=lu,
+        rhs_map=_scatter(sign[:, :, None] * Linv[:, :ne, nl:], slot, disp, (n, n_d))[1:],
+        lam_map=_cell_rows(-sign[:, None, :] * Linv[:, :, :ne], slot, n)[owner][:, 1:],
+        load_map=_cell_rows(Linv[:, :, nl:], disp, n_d)[owner],
+    )
     return system._factor_cache[key]
 
 
+# entries of the largest per-block temporary, (n_stress + n_disp, block
+# size): 1 MiB of float64
+_BLOCK_ENTRIES = 1 << 17
+
+
+def solve_mixed(system, c, rhs_disp):
+    """Solve the mixed system of weight c >= 0 (see _Condensed).
+
+    Finds (sigma, u) with (alpha sigma, v) - (u, div v) = 0 and
+    (div sigma, w) + c (u, w) = (g, w) for all test functions; `rhs_disp`
+    is the load vector (g, w) over the displacement basis, or an
+    (m, n_disp) stack of them.  The multipliers of all m right-hand
+    sides come from one solve with one SPD factor, and (sigma, u) from
+    the multipliers and loads.  Returns C-contiguous (u, sigma)
+    coefficient rows, stacked like `rhs_disp`.  Residuals of the mixed
+    equations above 1e-10 relative raise ToleranceNotMetError; like the
+    products, the check runs on blocks of right-hand sides whose
+    temporaries hold at most _BLOCK_ENTRIES entries.
+    """
+    cond = _condense(system, c)
+    n_s, n_d = system.space.n_stress, system.space.n_disp
+    rhs = np.asarray(rhs_disp, dtype=float)
+    loads = rhs.reshape(-1, n_d)
+    m = len(loads)
+    size = max(1, _BLOCK_ENTRIES // cond.load_map.shape[0])
+    blocks = [slice(i, i + size) for i in range(0, m, size)]
+    b = np.empty((cond.rhs_map.shape[0], m))
+    for k in blocks:
+        b[:, k] = cond.rhs_map @ loads[k].T
+    lam = cond.lu.solve(b)
+    del b
+    if not np.all(np.isfinite(lam)):
+        raise SingularSystemError("solution contains non-finite entries")
+    u = np.empty((m, n_d))
+    sigma = np.empty((m, n_s))
+    for k in blocks:
+        x = cond.lam_map @ lam[:, k]
+        x += cond.load_map @ loads[k].T  # (n_s + n_disp, block size)
+        _check_mixed(system, c, x[:n_s], x[n_s:], loads[k].T)
+        sigma[k], u[k] = x[:n_s].T, x[n_s:].T
+    if rhs.ndim == 1:
+        return u[0], sigma[0]
+    return u, sigma
+
+
+def _max_abs(a):
+    """Largest |a| down each column, without an |a| temporary."""
+    return np.maximum(a.max(axis=0), -a.min(axis=0))
+
+
+def _check_mixed(system, c, sigma, u, rhs):
+    """Raise unless the columns of (sigma, u) solve the mixed equations to 1e-10."""
+    r1 = system.M_sigma @ sigma
+    scale = np.maximum(_max_abs(r1), _max_abs(rhs))
+    r1 -= system.B.T @ u
+    r2 = system.B @ sigma
+    r2 += c * (system.M_u @ u)
+    r2 -= rhs
+    if not np.all(np.maximum(_max_abs(r1), _max_abs(r2)) <= 1e-10 * scale):
+        raise ToleranceNotMetError("algebraic residual exceeds 1e-10 relative")
+
+
 def step(system, U_prev, dtU_prev, k, load):
-    """Advance one step: returns (U, Sigma, dtU) at the new node."""
+    """Advance one step: returns (U, Sigma, dtU) at the new node.
+
+    The step is the mixed system of weight 1 / k^2 (solve_mixed).
+    """
     if k <= 0.0:
         raise SolverError("step size must be positive")
-    lu = _factorize(system, k)
-    n_s = system.space.n_stress
     rhs_u = load + system.M_u @ (U_prev + k * dtU_prev) / k ** 2
-    rhs = np.concatenate([np.zeros(n_s), rhs_u])
-    sol = lu.solve(rhs)
-    Sigma, U = sol[:n_s], sol[n_s:]
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystemError("solution contains non-finite entries")
-
-    M_Sigma = system.M_sigma @ Sigma
-    r1 = M_Sigma - system.B.T @ U
-    r2 = system.B @ Sigma + system.M_u @ U / k ** 2 - rhs_u
-    scale = max(
-        np.abs(M_Sigma).max(initial=0.0),
-        np.abs(rhs_u).max(initial=0.0),
-        1e-300,
-    )
-    if max(np.abs(r1).max(), np.abs(r2).max()) > 1e-10 * scale:
-        raise ToleranceNotMetError("algebraic residual exceeds 1e-10 relative")
+    U, Sigma = solve_mixed(system, 1.0 / k ** 2, rhs_u)
     dtU = (U - U_prev) / k
     return U, Sigma, dtU
 

@@ -209,57 +209,81 @@ _MESHES = {
 }
 
 
-def _saddle_solve(system, rhs):
-    """(u, sigma) rows of the mixed problem from one sparse saddle-point solve."""
+def _saddle_solve(system, c, rhs):
+    """(u, sigma) rows of the mixed system of weight c from one sparse saddle-point solve."""
     n_s = system.space.n_stress
-    K = sp.bmat([[system.M_sigma, -system.B.T], [system.B, None]], format="csc")
+    K = sp.bmat([[system.M_sigma, -system.B.T], [system.B, c * system.M_u]], format="csc")
     b = np.hstack([np.zeros((len(rhs), n_s)), rhs]).T
     sol = spla.spsolve(K, b).reshape(len(b), -1)
     return sol[n_s:].T, sol[:n_s].T
 
 
+_K = 0.05
+
+
+def _step_solve(system, rows):
+    """(U, Sigma) of a step of size _K from the zero state: weight 1 / _K^2."""
+    zero = np.zeros(system.space.n_disp)
+    U, Sigma, _ = solver.step(system, zero, zero, _K, rows)
+    return U, Sigma
+
+
 @pytest.mark.parametrize("l", [0, 1])
 @pytest.mark.parametrize("mesh", sorted(_MESHES))
 def test_reconstruction_matches_a_saddle_point_solve(mesh, l):
-    # the full coefficient couples x and y; it goes with the jittered mesh
+    # the full coefficient couples x and y; it goes with the jittered mesh.
+    # The reconstruction solves the mixed system of weight 0, a time step
+    # that of weight 1 / k^2.
     A = sym.Matrix([[2 + _X, _Y / 2], [_Y / 2, 1 + _Y]]) if mesh == "jittered" else None
     system = assemble_system(MixedSpace(_MESHES[mesh](), l), A)
     rhs = np.random.default_rng(7).standard_normal((3, system.space.n_disp))
-    ref_u, ref_s = _saddle_solve(system, rhs)
-    for rows, u_want, s_want in ((rhs, ref_u, ref_s), (rhs[0], ref_u[0], ref_s[0])):
-        u, s = rec.reconstruct_elliptic(system, rows)
-        assert u.flags.c_contiguous and s.flags.c_contiguous
-        for got, want in ((u, u_want), (s, s_want)):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    for c, solve in ((0.0, rec.reconstruct_elliptic), (_K ** -2, _step_solve)):
+        ref_u, ref_s = _saddle_solve(system, c, rhs)
+        for rows, u_want, s_want in ((rhs, ref_u, ref_s), (rhs[0], ref_u[0], ref_s[0])):
+            u, s = solve(system, rows)
+            assert u.flags.c_contiguous and s.flags.c_contiguous
+            for got, want in ((u, u_want), (s, s_want)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+                )
 
 
 def test_reconstruction_solve_checks_its_residual(monkeypatch):
     # multipliers off by 1e-8 relative leave the two copies of each edge
     # dof apart, which trips the 1e-10 residual check on the mixed
-    # equations; the exact multiplier solve passes it
+    # equations, in the reconstruction (weight 0) and in a time step
+    # (weight 1 / k^2) alike; the exact multiplier solve passes it
     space = MixedSpace(unit_square_mesh(3), 1)
     system = assemble_system(space)
     rhs = np.random.default_rng(3).standard_normal((5, space.n_disp))
-    rec.reconstruct_elliptic(system, rhs)
-    condensed = rec._condense(system)
 
     class Perturbed:
-        def solve(self, b):
-            return condensed.lu.solve(b) * (1.0 + 1e-8)
+        def __init__(self, lu):
+            self.lu = lu
 
-    perturbed = dataclasses.replace(condensed, lu=Perturbed())
-    monkeypatch.setitem(system._factor_cache, "elliptic", perturbed)
-    with pytest.raises(solver.ToleranceNotMetError, match="1e-10"):
-        rec.reconstruct_elliptic(system, rhs)
-    with pytest.raises(solver.ToleranceNotMetError):
-        rec.reconstruct_elliptic(system, rhs[0])
+        def solve(self, b):
+            return self.lu.solve(b) * (1.0 + 1e-8)
+
+    for c, solve in ((0.0, rec.reconstruct_elliptic), (_K ** -2, _step_solve)):
+        solve(system, rhs)
+        key = float("%.12g" % c)
+        condensed = system._factor_cache[key]
+        perturbed = dataclasses.replace(condensed, lu=Perturbed(condensed.lu))
+        monkeypatch.setitem(system._factor_cache, key, perturbed)
+        with pytest.raises(solver.ToleranceNotMetError, match="1e-10"):
+            solve(system, rhs)
+        with pytest.raises(solver.ToleranceNotMetError):
+            solve(system, rhs[0])
+        monkeypatch.undo()
 
 
 def test_galerkin_orthogonality_enriched():
     for l in (0, 1):
         traj = _standing_traj(l=l)
         recon = rec.reconstruct_trajectory(traj)
+        for rows in (recon.u_tilde, recon.sigma_tilde, recon.U_fine, recon.Sigma_fine):
+            assert rows.flags.c_contiguous
         for n in range(traj.grid.num_steps + 1):
             scale = max(1.0, np.abs(traj.Sigma[n]).max())
             r1, r2 = rec.galerkin_orthogonality(recon, n)
