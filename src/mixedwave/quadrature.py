@@ -4,13 +4,32 @@ Triangle rules are built by the Duffy (collapsed square) construction:
 Gauss-Legendre points in the first direction tensored with Gauss-Jacobi
 (weight 1-y) points in the second.  An m x m rule integrates bivariate
 polynomials of total degree <= 2m - 2 exactly, so ``triangle_rule(d)``
-picks m = ceil((d + 1) / 2) + 1 conservative points.
+picks m = ceil((d + 1) / 2) + 1 conservative points.  Both 1D rules come
+from numpy: ``leggauss`` and, for Gauss-Jacobi, the Golub-Welsch
+eigenproblem of the Jacobi matrix.
 """
 
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
+
+
+def _gauss_jacobi_10(m):
+    """m-point Gauss rule on [-1, 1] for the weight 1 - x (Jacobi alpha=1, beta=0).
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the monic recurrence, whose diagonal is
+    -1 / ((2k + 1)(2k + 3)) and off-diagonal sqrt(k (k + 1)) / (2k + 1);
+    the weights are 2 (the integral of 1 - x) times the squared first
+    components of the normalized eigenvectors.
+    """
+    k = np.arange(m)
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2.0 * k[1:] + 1.0)
+    J = np.diag(-1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    J += np.diag(off, 1) + np.diag(off, -1)
+    x, v = np.linalg.eigh(J)
+    return x, 2.0 * v[0] ** 2
 
 
 def segment_rule(degree):
@@ -19,7 +38,7 @@ def segment_rule(degree):
     Returns (points, weights) with weights summing to 1.
     """
     m = max(1, math.ceil((degree + 1) / 2))
-    x, w = roots_legendre(m)
+    x, w = leggauss(m)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -30,8 +49,8 @@ def triangle_rule(degree):
     to the reference area 1/2.  Exact for total degree <= `degree`.
     """
     m = max(1, math.ceil((degree + 1) / 2))
-    xu, wu = roots_legendre(m)
-    xy, wy = roots_jacobi(m, 1.0, 0.0)
+    xu, wu = leggauss(m)
+    xy, wy = _gauss_jacobi_10(m)
     # map both to [0, 1]; the Jacobi weight (1-x)^1 absorbs the Duffy factor
     u = 0.5 * (xu + 1.0)
     y = 0.5 * (xy + 1.0)

@@ -8,7 +8,8 @@ enriched space (a uniformly refined mesh with the same RT index), the
 stationary mixed problem whose mixed projection onto the run space is
 the computed pair (U^n, Sigma^n).  That problem is the mixed system of
 a time step with no displacement mass, and it is solved the same way
-(solver.solve_mixed), with one factor for all nodes.
+(solver.solve_mixed), with one factor for all nodes that is released
+once they are solved.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 
 from .assembly import assemble_system
 from .mesh import refine_uniform
-from .solver import TimeGrid, load_vector, solve_mixed
+from .solver import TimeGrid, _node_blocks, load_vector, solve_mixed
 from .spaces import MixedSpace, _cell_rows, l2_project_local, rt_interpolate
 
 
@@ -179,9 +180,11 @@ def reconstruct_elliptic(fine_system, rhs_disp):
 class EllipticReconstruction:
     """Elliptic reconstructions of every node of a trajectory.
 
-    All coefficient arrays live on the enriched space.  u_tilde and
-    sigma_tilde are the reconstructions; U_fine and Sigma_fine are the
-    exact transfers of the discrete states.
+    All coefficient arrays live on the enriched space, one C-contiguous
+    row per node.  u_tilde and sigma_tilde are the reconstructions;
+    U_fine and Sigma_fine are the exact transfers of the discrete states.
+    fine_system is the enriched system, without the factor it was
+    solved with.
     """
 
     enriched: EnrichedSpace
@@ -193,36 +196,52 @@ class EllipticReconstruction:
     Sigma_fine: np.ndarray
 
 
+def _transfer(P, rows):
+    """Rows of P @ row for each row of `rows`, built in node blocks."""
+    out = np.empty((len(rows), P.shape[0]))
+    for k in _node_blocks(len(rows), P.shape[0]):
+        out[k] = (P @ rows[k].T).T
+    return out
+
+
 def reconstruct_trajectory(traj, enriched=None):
     """Reconstruct (u_t^n, sigma_t^n) at every node of `traj`.
 
     The right-hand side at node n is f_bar^n - d2U^n, with d2U^n
     transferred to the enriched space and f_bar^n sampled as the run
     sampled it; node 0 takes the discrete initial acceleration
-    (Trajectory.d2U) and f at t = 0.  The N+1 right-hand sides are
-    solved together in one multi-right-hand-side solve.  `enriched`
-    defaults to enrich_space(traj.space).
+    (Trajectory.d2U) and f at t = 0.  The N+1 right-hand sides share one
+    factorization of the enriched system (solver.solve_mixed).  Each
+    node's load is written into one preallocated array, and every
+    product over all nodes runs in node blocks of at most
+    solver._BLOCK_ENTRIES (1 MiB) per temporary, so the reconstruction
+    holds little beyond its four outputs.  The enriched factor is used
+    once: it is dropped from fine_system's factor cache before the
+    return.  `enriched` defaults to enrich_space(traj.space).
     """
     space = traj.space
     if enriched is None:
         enriched = enrich_space(space)
     fine_system = assemble_system(enriched.fine, traj.system.coefficient)
+    nodes = traj.grid.num_steps + 1
+    P, M = enriched.P_disp, fine_system.M_u
 
-    rhs = np.stack([
-        load_vector(fine_system, traj.f, *traj.grid.interval(n), traj.forcing_mode)
-        for n in range(traj.grid.num_steps + 1)
-    ])
-    rhs -= (fine_system.M_u @ (enriched.P_disp @ traj.d2U.T)).T
+    rhs = np.empty((nodes, enriched.fine.n_disp))
+    for n in range(nodes):
+        rhs[n] = load_vector(fine_system, traj.f, *traj.grid.interval(n), traj.forcing_mode)
+    for k in _node_blocks(nodes, rhs.shape[1]):
+        rhs[k] -= (M @ (P @ traj.d2U[k].T)).T
     u_t, s_t = reconstruct_elliptic(fine_system, rhs)
     del rhs  # before the transfers, which are as large
+    fine_system._factor_cache.pop(0.0)
     return EllipticReconstruction(
         enriched=enriched,
         fine_system=fine_system,
         grid=traj.grid,
         u_tilde=u_t,
         sigma_tilde=s_t,
-        U_fine=np.ascontiguousarray((enriched.P_disp @ traj.U.T).T),
-        Sigma_fine=np.ascontiguousarray((enriched.P_stress @ traj.Sigma.T).T),
+        U_fine=_transfer(P, traj.U),
+        Sigma_fine=_transfer(enriched.P_stress, traj.Sigma),
     )
 
 

@@ -232,40 +232,43 @@ def _condense(system, c):
 _BLOCK_ENTRIES = 1 << 17
 
 
+def _node_blocks(m, rows):
+    """Slices of range(m) whose (rows, block size) temporaries fit _BLOCK_ENTRIES."""
+    size = max(1, _BLOCK_ENTRIES // rows)
+    return [slice(i, i + size) for i in range(0, m, size)]
+
+
 def solve_mixed(system, c, rhs_disp):
     """Solve the mixed system of weight c >= 0 (see _Condensed).
 
     Finds (sigma, u) with (alpha sigma, v) - (u, div v) = 0 and
     (div sigma, w) + c (u, w) = (g, w) for all test functions; `rhs_disp`
     is the load vector (g, w) over the displacement basis, or an
-    (m, n_disp) stack of them.  The multipliers of all m right-hand
-    sides come from one solve with one SPD factor, and (sigma, u) from
-    the multipliers and loads.  Returns C-contiguous (u, sigma)
-    coefficient rows, stacked like `rhs_disp`.  Residuals of the mixed
-    equations above 1e-10 relative raise ToleranceNotMetError; like the
-    products, the check runs on blocks of right-hand sides whose
-    temporaries hold at most _BLOCK_ENTRIES entries.
+    (m, n_disp) stack of them.  Returns C-contiguous (u, sigma)
+    coefficient rows, stacked like `rhs_disp`.  The right-hand sides go
+    through in blocks whose temporaries hold at most _BLOCK_ENTRIES
+    entries (1 MiB) each: per block, the multipliers come from the one
+    SPD factor of weight c (kept in system._factor_cache), (sigma, u)
+    from the multipliers and loads, and the residuals of the mixed
+    equations are checked, raising ToleranceNotMetError above 1e-10
+    relative.  Besides the factor and its maps, the solve holds only its
+    outputs and one block's temporaries.
     """
     cond = _condense(system, c)
     n_s, n_d = system.space.n_stress, system.space.n_disp
     rhs = np.asarray(rhs_disp, dtype=float)
     loads = rhs.reshape(-1, n_d)
     m = len(loads)
-    size = max(1, _BLOCK_ENTRIES // cond.load_map.shape[0])
-    blocks = [slice(i, i + size) for i in range(0, m, size)]
-    b = np.empty((cond.rhs_map.shape[0], m))
-    for k in blocks:
-        b[:, k] = cond.rhs_map @ loads[k].T
-    lam = cond.lu.solve(b)
-    del b
-    if not np.all(np.isfinite(lam)):
-        raise SingularSystemError("solution contains non-finite entries")
     u = np.empty((m, n_d))
     sigma = np.empty((m, n_s))
-    for k in blocks:
-        x = cond.lam_map @ lam[:, k]
-        x += cond.load_map @ loads[k].T  # (n_s + n_disp, block size)
-        _check_mixed(system, c, x[:n_s], x[n_s:], loads[k].T)
+    for k in _node_blocks(m, n_s + n_d):
+        g = loads[k].T
+        lam = cond.lu.solve(cond.rhs_map @ g)
+        if not np.all(np.isfinite(lam)):
+            raise SingularSystemError("solution contains non-finite entries")
+        x = cond.lam_map @ lam
+        x += cond.load_map @ g  # (n_s + n_disp, block size)
+        _check_mixed(system, c, x[:n_s], x[n_s:], g)
         sigma[k], u[k] = x[:n_s].T, x[n_s:].T
     if rhs.ndim == 1:
         return u[0], sigma[0]
@@ -273,8 +276,9 @@ def solve_mixed(system, c, rhs_disp):
 
 
 def _max_abs(a):
-    """Largest |a| down each column, without an |a| temporary."""
-    return np.maximum(a.max(axis=0), -a.min(axis=0))
+    """Largest |a| down each column, reduced along rows of one transposed copy."""
+    t = a.T.copy()
+    return np.maximum(t.max(axis=1), -t.min(axis=1))
 
 
 def _check_mixed(system, c, sigma, u, rhs):

@@ -2,6 +2,8 @@
 
 A function local that is assigned and never read is dead code or a
 value computed and then forgotten; names starting with "_" are exempt.
+No module imports scipy.special: its import alone costs every run a few
+MB of resident memory, and numpy builds the quadrature rules.
 """
 
 import ast
@@ -48,3 +50,23 @@ def test_no_local_is_stored_and_never_loaded(path):
         for line, name in _unread_locals(fn)
     ]
     assert not unread, "\n".join(unread)
+
+
+def _imported_modules(tree):
+    """Dotted names of the modules and members each import statement brings in."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (node.module + "." + alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_special(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    special = [
+        name for name in _imported_modules(tree)
+        if name == "scipy.special" or name.startswith("scipy.special.")
+    ]
+    assert not special, "{} imports {}".format(path.name, ", ".join(special))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,50 @@ def test_galerkin_orthogonality_enriched():
             assert r1 < 1e-9 * scale
             assert r2 < 1e-9 * scale
             assert rec.enriched_mixed_residual(recon, n) < 1e-9 * scale
+
+
+def test_trajectory_reconstruction_holds_only_its_outputs():
+    # 16 x 16 RT1, N = 80, average forcing: the loads, the products over
+    # all nodes and the multiplier solves run in node blocks, so the
+    # transient peak stays within 2 MiB of what the reconstruction keeps
+    # (a whole-trajectory right-hand side alone is 4 MB), and the
+    # one-use enriched factor is released
+    space = MixedSpace(unit_square_mesh(16), 1)
+    f = lambda x, y, t: np.sin(np.pi * x) * y * np.cos(3.0 * t)
+    u0 = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    u1 = lambda x, y: np.zeros(np.shape(x))
+    grid = solver.uniform_grid(0.5, 80)
+    traj = solver.run(assemble_system(space), f, u0, u1, grid, forcing_mode="average")
+    enr = rec.enrich_space(space)
+    traj.d2U  # kept on the trajectory; built before the measurement
+    tracemalloc.start()
+    try:
+        recon = rec.reconstruct_trajectory(traj, enriched=enr)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 2 * 2 ** 20, (peak, held)
+    fs = recon.fine_system
+    assert fs._factor_cache == {}
+    for rows in (recon.u_tilde, recon.sigma_tilde, recon.U_fine, recon.Sigma_fine):
+        assert rows.flags.c_contiguous and len(rows) == grid.num_steps + 1
+
+    def close(got, want, scale):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
+
+    # SuperLU solves a block of right-hand sides with other kernels than
+    # a single one, so the reconstructions agree to round-off relative to
+    # the node's solution (u, sigma) as a whole; the transfers are exact
+    for n in range(grid.num_steps + 1):
+        load = solver.load_vector(fs, f, *grid.interval(n), "average")
+        u, s = rec.reconstruct_elliptic(fs, load - fs.M_u @ (enr.P_disp @ traj.d2U[n]))
+        scale = max(np.abs(u).max(), np.abs(s).max())
+        close(recon.u_tilde[n], u, scale)
+        close(recon.sigma_tilde[n], s, scale)
+        want = enr.P_disp @ traj.U[n]
+        close(recon.U_fine[n], want, np.abs(want).max())
+        want = enr.P_stress @ traj.Sigma[n]
+        close(recon.Sigma_fine[n], want, np.abs(want).max())
 
 
 def test_enriched_solution_beats_coarse():
