@@ -9,7 +9,7 @@ stress errors in the L-infinity(L2) norms.
 
 __version__ = "0.1.0"
 
-from .assembly import Coefficient, assemble_load, assemble_system
+from .assembly import Coefficient, assemble_system
 from .estimators import (
     EstimatorReport,
     SpatialEstimate,

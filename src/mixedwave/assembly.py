@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import sympy as sym
 
-from .spaces import MixedSpace, _cell_rows, _eval_scalar
+from .spaces import MixedSpace, _cell_rows
 
 _X, _Y, _T = sym.symbols("x y t", real=True)
 
@@ -181,9 +181,10 @@ def assemble_system(space, A=None):
     """Assemble M_sigma, B and M_u for coefficient A (identity default).
 
     With phi, div phi and psi the local bases at the cell quadrature
-    (MixedSpace.local_quad_values) and w its weights, each cell's blocks
-    are batched matmuls: sum_q w alpha phi_j . phi_i, sum_q w div phi_j
-    psi_a and sum_q w psi_b psi_a.  The matrices are scattered from them.
+    (MixedSpace.local_quad_values, evaluated for this call) and w its
+    weights, each cell's blocks are batched matmuls: sum_q w alpha phi_j .
+    phi_i, sum_q w div phi_j psi_a and sum_q w psi_b psi_a.  The matrices
+    are scattered from them; no quadrature map of `space` is read or built.
     """
     coeff = A if isinstance(A, Coefficient) else Coefficient(A)
     w = space.quad_weights
@@ -208,11 +209,6 @@ def assemble_system(space, A=None):
         B=_scatter(div_blocks, dd, sd, (n_d, n_s)),
         M_u=_scatter(disp_blocks, dd, dd, (n_d, n_d)),
     )
-
-
-def assemble_load(space, f):
-    """Load vector (f, w_h) over the displacement basis, for f(x, y)."""
-    return load_of_values(space, _eval_scalar(f, space.quad_points))
 
 
 def load_of_values(space, vals):

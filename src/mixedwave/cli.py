@@ -52,8 +52,7 @@ _DEFAULTS = {
     "levels": "8,16,32",
 }
 
-_INT_KEYS = ("mesh_n", "rt_index", "steps")
-_FLOAT_KEYS = ("T",)
+_TYPES = {"mesh_n": int, "rt_index": int, "steps": int, "T": float}
 _CHOICES = {
     "command": ("solve", "estimate", "study", "oracle-check"),
     "rt_index": (0, 1),
@@ -64,18 +63,13 @@ _CHOICES = {
 
 
 def _coerce(key, raw):
-    if key in _INT_KEYS:
+    val = raw
+    if key in _TYPES:
         try:
-            val = int(raw)
+            val = _TYPES[key](raw)
         except (TypeError, ValueError):
-            raise TypeMismatchError("key '{}' expects an integer, got {!r}".format(key, raw))
-    elif key in _FLOAT_KEYS:
-        try:
-            val = float(raw)
-        except (TypeError, ValueError):
-            raise TypeMismatchError("key '{}' expects a number, got {!r}".format(key, raw))
-    else:
-        val = raw
+            what = "an integer" if _TYPES[key] is int else "a number"
+            raise TypeMismatchError("key '{}' expects {}, got {!r}".format(key, what, raw))
     if key in _CHOICES and val is not None and val not in _CHOICES[key]:
         raise UnknownValueError(
             "key '{}' must be one of {}, got {!r}".format(key, _CHOICES[key], val)

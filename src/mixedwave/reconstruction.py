@@ -266,12 +266,3 @@ def galerkin_orthogonality(recon, n):
     res2 = e.P_disp.T @ (fs.B @ ds)
     return float(np.abs(res1).max()), float(np.abs(res2).max())
 
-
-def enriched_mixed_residual(recon, n):
-    """Max defect of (alpha sigma_t, v) - (u_t, div v) = 0 on the fine basis.
-
-    This is the discrete shadow of alpha sigma_t = -grad u_t.
-    """
-    fs = recon.fine_system
-    r = fs.M_sigma @ recon.sigma_tilde[n] - fs.B.T @ recon.u_tilde[n]
-    return float(np.abs(r).max())

@@ -232,9 +232,9 @@ def _condense(system, c):
 _BLOCK_ENTRIES = 1 << 17
 
 
-def _node_blocks(m, rows):
-    """Slices of range(m) whose (rows, block size) temporaries fit _BLOCK_ENTRIES."""
-    size = max(1, _BLOCK_ENTRIES // rows)
+def _node_blocks(m, rows, least=1):
+    """Slices of range(m), >= `least` wide, whose (rows, width) fit _BLOCK_ENTRIES."""
+    size = max(least, _BLOCK_ENTRIES // max(rows, 1))
     return [slice(i, i + size) for i in range(0, m, size)]
 
 
@@ -245,14 +245,14 @@ def solve_mixed(system, c, rhs_disp):
     (div sigma, w) + c (u, w) = (g, w) for all test functions; `rhs_disp`
     is the load vector (g, w) over the displacement basis, or an
     (m, n_disp) stack of them.  Returns C-contiguous (u, sigma)
-    coefficient rows, stacked like `rhs_disp`.  The right-hand sides go
-    through in blocks whose temporaries hold at most _BLOCK_ENTRIES
-    entries (1 MiB) each: per block, the multipliers come from the one
-    SPD factor of weight c (kept in system._factor_cache), (sigma, u)
-    from the multipliers and loads, and the residuals of the mixed
-    equations are checked, raising ToleranceNotMetError above 1e-10
-    relative.  Besides the factor and its maps, the solve holds only its
-    outputs and one block's temporaries.
+    coefficient rows, stacked like `rhs_disp`.  The multipliers come from
+    the one SPD factor of weight c (kept in system._factor_cache) in
+    blocks of 8 or more columns, as SuperLU solves single columns at
+    twice the cost.  (sigma, u) are then recovered and the residuals of
+    the mixed equations checked, raising ToleranceNotMetError above 1e-10
+    relative, in sub-blocks whose temporaries hold at most _BLOCK_ENTRIES
+    entries (1 MiB) each.  Besides the factor and its maps, the solve
+    holds only its outputs and one block's temporaries.
     """
     cond = _condense(system, c)
     n_s, n_d = system.space.n_stress, system.space.n_disp
@@ -261,15 +261,16 @@ def solve_mixed(system, c, rhs_disp):
     m = len(loads)
     u = np.empty((m, n_d))
     sigma = np.empty((m, n_s))
-    for k in _node_blocks(m, n_s + n_d):
-        g = loads[k].T
-        lam = cond.lu.solve(cond.rhs_map @ g)
-        if not np.all(np.isfinite(lam)):
+    for wide in _node_blocks(m, cond.rhs_map.shape[0], least=8):
+        lams = cond.lu.solve(cond.rhs_map @ loads[wide].T)
+        if not np.all(np.isfinite(lams)):
             raise SingularSystemError("solution contains non-finite entries")
-        x = cond.lam_map @ lam
-        x += cond.load_map @ g  # (n_s + n_disp, block size)
-        _check_mixed(system, c, x[:n_s], x[n_s:], g)
-        sigma[k], u[k] = x[:n_s].T, x[n_s:].T
+        for k in _node_blocks(lams.shape[1], n_s + n_d):
+            g = loads[wide][k].T
+            x = cond.lam_map @ lams[:, k]
+            x += cond.load_map @ g  # (n_s + n_disp, block size)
+            _check_mixed(system, c, x[:n_s], x[n_s:], g)
+            sigma[wide][k], u[wide][k] = x[:n_s].T, x[n_s:].T
     if rhs.ndim == 1:
         return u[0], sigma[0]
     return u, sigma
@@ -334,12 +335,16 @@ def initial_acceleration(traj):
     The scheme leaves the second difference at node 0 undefined; this is
     the value the spatially discrete equation assigns at t = 0, and it
     makes the second residual vanish on the discrete space at n = 0.
-    Like initial_stress, it raises ToleranceNotMetError when the solve
-    leaves a residual above 1e-10 relative.
+    M_u is block diagonal: one batched solve of its cell blocks.  Like
+    initial_stress, it raises ToleranceNotMetError when the solve leaves
+    a residual above 1e-10 relative.
     """
     s = traj.system
     rhs = traj.f_bar[0] - s.B @ traj.Sigma[0]
-    return _checked(s.M_u, spla.spsolve(s.M_u.tocsc(), rhs), rhs, "initial acceleration")
+    dofs = s.space.cell_disp_dofs
+    a = np.empty_like(rhs)
+    a[dofs] = np.linalg.solve(s.disp_blocks, rhs[dofs][..., None])[..., 0]
+    return _checked(s.M_u, a, rhs, "initial acceleration")
 
 
 def _check_forcing_mode(forcing_mode):

@@ -14,17 +14,19 @@ construction spans the same space as the Piola-mapped reference basis.
 
 A discrete field is its coefficient row: a stress row of length n_stress
 or a displacement row of length n_disp, or a stack of such rows.  Each
-space builds its three sparse quadrature maps (stress_quad_map,
-div_quad_map, disp_quad_map) at construction; they are the only copy of
-the basis at the cell quadrature, and assembly, loads and estimator
-operators are built from them (MixedSpace.local_quad_values reads
-their entries as per-cell arrays).  MixedSpace.stress_values, div_values
-and disp_values apply them to rows; eval_*_basis evaluates the local
-bases at any points.  This module alone knows the stress
-degree-of-freedom layout: edge dof (l + 1) e + i is the normal moment on
-edge e against the i-th of {1, 2 xi - 1}, and for RT1 dof 2 E + 2 t + c
-is the integral of component c over cell t (see rt_interpolate).
+space builds each of its sparse quadrature maps (stress_quad_map,
+div_quad_map, disp_quad_map) on first use; loads, estimator operators
+and MixedSpace.stress_values, div_values and disp_values read them, and
+assembly reads the local bases at the quadrature (local_quad_values).
+eval_*_basis evaluates the local bases at any points.  This module alone
+knows the stress degree-of-freedom layout: edge dof (l + 1) e + i is the
+normal moment on edge e against the i-th of {1, 2 xi - 1}, and for RT1
+dof 2 E + 2 t + c is the integral of component c over cell t (see
+rt_interpolate).
 """
+
+import math
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,15 +103,25 @@ def _cell_rows(loc, dofs, n_cols):
     )
 
 
+def _per_cell(mono, coeff):
+    """Per-cell matmul (nc, *mid, s) x (nc, *tail, s) -> (nc, *mid, *tail), any nc."""
+    nc, n_mono = len(mono), mono.shape[-1]
+    mid, tail = mono.shape[1:-1], coeff.shape[1:-1]
+    m = mono.reshape(nc, math.prod(mid), n_mono)
+    c = coeff.reshape(nc, math.prod(tail), n_mono)
+    return (m @ np.swapaxes(c, 1, 2)).reshape((nc,) + mid + tail)
+
+
 class MixedSpace:
     """Paired RT_l / discontinuous P_l degree-of-freedom maps on a mesh.
 
     Immutable after construction; all evaluation methods are pure.
 
-    The quadrature maps are built here, with rows in (cell, point[,
-    component]) order: stress_quad_map (T nq 2 x n_stress), div_quad_map
-    (T nq x n_stress) and disp_quad_map (T nq x n_disp).  The space keeps
-    no other samples of its basis at quad_points.
+    The quadrature maps have rows in (cell, point[, component]) order:
+    stress_quad_map (T nq 2 x n_stress), div_quad_map (T nq x n_stress)
+    and disp_quad_map (T nq x n_disp).  Each is built on first use and
+    kept, so a space holds only the maps something has read, and no
+    other samples of its basis at quad_points.
     """
 
     def __init__(self, mesh: Mesh, rt_index: int):
@@ -139,13 +151,6 @@ class MixedSpace:
         self._build_nodal_basis()
         rp, rw = quadrature.triangle_rule(self.cell_degree)
         self.quad_points, self.quad_weights = quadrature.map_to_cells(mesh, rp, rw)
-        cells, pts = np.arange(T), self.quad_points
-        sd, n_s = self.cell_stress_dofs, self.n_stress
-        stress = np.swapaxes(self.eval_stress_basis(cells, pts), -1, -2)
-        self.stress_quad_map = _cell_rows(stress, sd, n_s)
-        self.div_quad_map = _cell_rows(self.eval_div_basis(cells, pts), sd, n_s)
-        disp = self.eval_disp_basis(cells, pts)
-        self.disp_quad_map = _cell_rows(disp, self.cell_disp_dofs, self.n_disp)
 
     # ------------------------------------------------------------------
     # construction
@@ -224,14 +229,12 @@ class MixedSpace:
     def eval_stress_basis(self, cells, pts):
         """Nodal stress basis values: (..., nq, n_loc_stress, 2)."""
         loc = self._local_coords(cells, pts)
-        mono = _monomials(self.exponents, loc)
-        return np.einsum("t...s,tkcs->t...kc", mono, self.stress_coeff[cells])
+        return _per_cell(_monomials(self.exponents, loc), self.stress_coeff[cells])
 
     def eval_div_basis(self, cells, pts):
         """Divergence of the nodal stress basis: (..., nq, n_loc_stress)."""
         loc = self._local_coords(cells, pts)
-        mono = _monomials(self.exponents, loc)
-        return np.einsum("t...s,tks->t...k", mono, self.stress_div_coeff[cells])
+        return _per_cell(_monomials(self.exponents, loc), self.stress_div_coeff[cells])
 
     def eval_stress_grad_basis(self, cells, pts):
         """Spatial gradients of the stress basis: (nc, nq, n_loc, 2, 2).
@@ -239,19 +242,14 @@ class MixedSpace:
         Last two axes are (component, derivative direction); `pts` must
         have shape (nc, nq, 2).
         """
-        loc = self._local_coords(cells, pts)
-        exps = self.exponents
-        h = self.mesh.h_cell[cells]
-        out = np.zeros(loc.shape[:2] + (self.n_loc_stress, 2, 2))
+        loc, h = self._local_coords(cells, pts), self.mesh.h_cell[cells]
+        grads = []
         for d in range(2):
-            dex = exps.copy()
-            fac = exps[:, d].astype(float)
+            dex = self.exponents.copy()
             dex[:, d] = np.maximum(dex[:, d] - 1, 0)
-            mono = _monomials(dex, loc) * fac
-            out[..., d] = np.einsum(
-                "tqs,tkcs->tqkc", mono, self.stress_coeff[cells]
-            )
-        return out / h[:, None, None, None, None]
+            mono = _monomials(dex, loc) * self.exponents[:, d]
+            grads.append(_per_cell(mono, self.stress_coeff[cells]))
+        return np.stack(grads, axis=-1) / h[:, None, None, None, None]
 
     def eval_disp_basis(self, cells, pts):
         """Displacement basis (local monomials): (..., nq, n_loc_disp)."""
@@ -259,19 +257,33 @@ class MixedSpace:
         return _monomials(self.disp_exponents, loc)
 
     def local_quad_values(self):
-        """The quadrature maps' entries as per-cell arrays, without a copy.
+        """The local bases at quad_points, evaluated afresh on every call.
 
-        _cell_rows stores each row's entries in local dof order, so the
-        maps' data are the local bases at quad_points: the stress basis
-        (T, nq, 2, n_loc_stress), its divergence (T, nq, n_loc_stress)
-        and the displacement basis (T, nq, n_loc_disp).
+        Returns the stress basis (T, nq, 2, n_loc_stress), its divergence
+        (T, nq, n_loc_stress) and the displacement basis (T, nq,
+        n_loc_disp); each quadrature map is _cell_rows of one of them.
         """
-        T, nq = self.quad_weights.shape
-        return (
-            self.stress_quad_map.data.reshape(T, nq, 2, self.n_loc_stress),
-            self.div_quad_map.data.reshape(T, nq, self.n_loc_stress),
-            self.disp_quad_map.data.reshape(T, nq, self.n_loc_disp),
-        )
+        phi = np.swapaxes(self._at_quad(self.eval_stress_basis), -1, -2)
+        div = self._at_quad(self.eval_div_basis)
+        return phi, div, self._at_quad(self.eval_disp_basis)
+
+    def _at_quad(self, eval_basis):
+        return eval_basis(np.arange(self.mesh.num_cells), self.quad_points)
+
+    @cached_property
+    def stress_quad_map(self):
+        phi = np.swapaxes(self._at_quad(self.eval_stress_basis), -1, -2)
+        return _cell_rows(phi, self.cell_stress_dofs, self.n_stress)
+
+    @cached_property
+    def div_quad_map(self):
+        div = self._at_quad(self.eval_div_basis)
+        return _cell_rows(div, self.cell_stress_dofs, self.n_stress)
+
+    @cached_property
+    def disp_quad_map(self):
+        psi = self._at_quad(self.eval_disp_basis)
+        return _cell_rows(psi, self.cell_disp_dofs, self.n_disp)
 
     def edge_quadrature(self, edges=None):
         """The space's edge rule on (a subset of) the edges.

@@ -3,7 +3,9 @@
 A function local that is assigned and never read is dead code or a
 value computed and then forgotten; names starting with "_" are exempt.
 No module imports scipy.special: its import alone costs every run a few
-MB of resident memory, and numpy builds the quadrature rules.
+MB of resident memory, and numpy builds the quadrature rules.  No module
+calls spsolve: every sparse system is factorized once with splu and its
+factor kept, and block-diagonal ones are solved cell by cell.
 """
 
 import ast
@@ -70,3 +72,15 @@ def test_no_module_imports_scipy_special(path):
         if name == "scipy.special" or name.startswith("scipy.special.")
     ]
     assert not special, "{} imports {}".format(path.name, ", ".join(special))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_spsolve(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        "line {}".format(node.lineno) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "spsolve" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        )
+    ] + [name for name in _imported_modules(tree) if name.endswith(".spsolve")]
+    assert not found, "{} calls spsolve: {}".format(path.name, ", ".join(found))

@@ -175,8 +175,24 @@ def test_local_quad_values_are_the_local_bases(l):
     np.testing.assert_array_equal(phi, np.swapaxes(space.eval_stress_basis(cells, pts), -1, -2))
     np.testing.assert_array_equal(div, space.eval_div_basis(cells, pts))
     np.testing.assert_array_equal(psi, space.eval_disp_basis(cells, pts))
-    # views of the maps' entries, not copies
-    for local, op in zip((phi, div, psi), (
-        space.stress_quad_map, space.div_quad_map, space.disp_quad_map
-    )):
-        assert np.shares_memory(local, op.data)
+    # each quadrature map is _cell_rows of its local basis, entry for entry
+    sd, dd = space.cell_stress_dofs, space.cell_disp_dofs
+    for op, want in (
+        (space.stress_quad_map, sp._cell_rows(phi, sd, space.n_stress)),
+        (space.div_quad_map, sp._cell_rows(div, sd, space.n_stress)),
+        (space.disp_quad_map, sp._cell_rows(psi, dd, space.n_disp)),
+    ):
+        assert op.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(op, part), getattr(want, part))
+
+
+def test_quadrature_maps_are_built_on_first_use():
+    space = sp.MixedSpace(unit_square_mesh(3), 1)
+    names = ("stress_quad_map", "div_quad_map", "disp_quad_map")
+    assert not set(names) & set(vars(space))
+    assemble_system(space)
+    assert not set(names) & set(vars(space))
+    space.div_values(np.zeros(space.n_stress))
+    assert [name for name in names if name in vars(space)] == ["div_quad_map"]
+    assert space.div_quad_map is space.div_quad_map
