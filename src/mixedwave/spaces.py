@@ -227,9 +227,11 @@ class MixedSpace:
     # basis evaluation
     # ------------------------------------------------------------------
     def eval_stress_basis(self, cells, pts):
-        """Nodal stress basis values: (..., nq, n_loc_stress, 2)."""
+        """Nodal stress basis values: (..., nq, n_loc_stress, 2), a view of a
+        C-ordered array in the (..., 2, n_loc_stress) order of stress_quad_map."""
         loc = self._local_coords(cells, pts)
-        return _per_cell(_monomials(self.exponents, loc), self.stress_coeff[cells])
+        coeff = np.swapaxes(self.stress_coeff, 1, 2)[cells]
+        return np.swapaxes(_per_cell(_monomials(self.exponents, loc), coeff), -1, -2)
 
     def eval_div_basis(self, cells, pts):
         """Divergence of the nodal stress basis: (..., nq, n_loc_stress)."""
