@@ -144,7 +144,7 @@ class SaddleSystem:
 
     The blocks are in the local dof order of space.cell_stress_dofs and
     space.cell_disp_dofs; M_sigma, B and M_u are their scattered sums, and
-    solver.solve_mixed condenses them cell by cell.
+    solver._condense condenses them cell by cell.
     """
 
     space: MixedSpace

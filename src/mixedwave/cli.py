@@ -150,10 +150,7 @@ def parse_config(argv):
 
 
 def _write_resolved(cfg, outdir):
-    lines = []
-    for key in sorted(_DEFAULTS):
-        lines.append("{} = {}".format(key, cfg[key]))
-    text = "\n".join(lines) + "\n"
+    text = "".join("{} = {}\n".format(key, cfg[key]) for key in sorted(_DEFAULTS))
     with open(os.path.join(outdir, "resolved_config.txt"), "w") as fh:
         fh.write(text)
     return text
@@ -233,10 +230,7 @@ def cmd_estimate(cfg, outdir):
     problem, traj = _run(cfg)
     err_u, err_sigma = true_error(traj, problem)
     report = est.compose_report(
-        traj,
-        err_u=err_u,
-        err_sigma=err_sigma,
-        initial_errors=initial_errors(traj, problem),
+        traj, err_u=err_u, err_sigma=err_sigma, initial_errors=initial_errors(traj, problem)
     )
     if cfg["constants"] == "calibrated":
         report = est.calibrated(report, est.calibrate_scales(report))
@@ -280,12 +274,7 @@ def cmd_oracle_check(cfg, outdir):
 
     from . import estimators as est
     from . import solver
-    from .verification import (
-        energy_drift,
-        oracle_small_instance,
-        solve_problem,
-        standing_wave,
-    )
+    from .verification import energy_drift, oracle_small_instance, solve_problem, standing_wave
 
     failures = []
     for l in (0, 1):
@@ -309,10 +298,7 @@ def cmd_oracle_check(cfg, outdir):
         if np.any(np.diff(getattr(te, name)) < -1e-14):
             failures.append("temporal accumulator {} decreased".format(name))
     with open(os.path.join(outdir, "oracle_check.txt"), "w") as fh:
-        if failures:
-            fh.write("\n".join(failures) + "\n")
-        else:
-            fh.write("all oracle checks passed\n")
+        fh.write("\n".join(failures or ["all oracle checks passed"]) + "\n")
     if failures:
         for f in failures:
             print("oracle-failure: {}".format(f), file=sys.stderr)

@@ -8,7 +8,7 @@ dU^0 = P_h u1 and U^0 = P_h u0; the initial stress Sigma^0 solves
 equation hold at n = 0 as well.
 
 A step and the elliptic reconstruction solve one mixed system, of
-weight 1 / k_n^2 and 0, with one hybridized solver (solve_mixed).
+weight 1 / k_n^2 and 0, with one hybridized factor (_Condensed).
 """
 
 import os
@@ -47,21 +47,22 @@ class GridError(SolverError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing finite time nodes t_0 = 0 < ... < t_N = T."""
+    """Strictly increasing finite time nodes t_0 = 0 < ... < t_N = T and
+    the steps k_n = t_n - t_{n-1}, n >= 1, both read-only, computed once."""
 
     nodes: np.ndarray
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.nodes, dtype=float)
-        if len(t) < 2 or t[0] != 0.0 or not np.all(np.diff(t) > 0.0):
+        t = np.array(self.nodes, dtype=float)
+        k = np.diff(t)
+        if len(t) < 2 or t[0] != 0.0 or not np.all(k > 0.0):
             raise GridError("time nodes must start at 0 and strictly increase")
         if not np.isfinite(t[-1]):
             raise GridError("time nodes must be finite")
-        object.__setattr__(self, "nodes", t)
-
-    @property
-    def steps(self):
-        return np.diff(self.nodes)
+        for name, a in (("nodes", t), ("steps", k)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def num_steps(self):
@@ -173,6 +174,12 @@ class _Condensed:
     lam_map: sp.csr_matrix
     load_map: sp.csr_matrix
 
+    def recover(self, lam, g):
+        """The stacked (sigma, u) of multipliers lam and loads g (columns alike)."""
+        x = self.lam_map @ lam
+        x += self.load_map @ g
+        return x
+
 
 def _condense(system, c):
     """The _Condensed form of `system` for weight c, built on first use and kept."""
@@ -249,26 +256,25 @@ def solve_mixed(system, c, rhs_disp):
     the one SPD factor of weight c (kept in system._factor_cache) in
     blocks of 8 or more columns, as SuperLU solves single columns at
     twice the cost.  (sigma, u) are then recovered and the residuals of
-    the mixed equations checked, raising ToleranceNotMetError above 1e-10
-    relative, in sub-blocks whose temporaries hold at most _BLOCK_ENTRIES
-    entries (1 MiB) each.  Besides the factor and its maps, the solve
-    holds only its outputs and one block's temporaries.
+    the mixed equations checked (_check_mixed), raising
+    ToleranceNotMetError above 1e-10 relative, in sub-blocks whose
+    temporaries hold at most _BLOCK_ENTRIES entries (1 MiB) each.
+    Besides the factor and its maps, the solve holds only its outputs and
+    one block's temporaries.
     """
     cond = _condense(system, c)
     n_s, n_d = system.space.n_stress, system.space.n_disp
     rhs = np.asarray(rhs_disp, dtype=float)
     loads = rhs.reshape(-1, n_d)
     m = len(loads)
-    u = np.empty((m, n_d))
-    sigma = np.empty((m, n_s))
+    u, sigma = np.empty((m, n_d)), np.empty((m, n_s))
     for wide in _node_blocks(m, cond.rhs_map.shape[0], least=8):
         lams = cond.lu.solve(cond.rhs_map @ loads[wide].T)
-        if not np.all(np.isfinite(lams)):
+        if not np.isfinite(lams).all():
             raise SingularSystemError("solution contains non-finite entries")
         for k in _node_blocks(lams.shape[1], n_s + n_d):
             g = loads[wide][k].T
-            x = cond.lam_map @ lams[:, k]
-            x += cond.load_map @ g  # (n_s + n_disp, block size)
+            x = cond.recover(lams[:, k], g)  # (n_s + n_disp, block size)
             _check_mixed(system, c, x[:n_s], x[n_s:], g)
             sigma[wide][k], u[wide][k] = x[:n_s].T, x[n_s:].T
     if rhs.ndim == 1:
@@ -283,7 +289,8 @@ def _max_abs(a):
 
 
 def _check_mixed(system, c, sigma, u, rhs):
-    """Raise unless the columns of (sigma, u) solve the mixed equations to 1e-10."""
+    """Raise unless the columns of (sigma, u) solve the mixed equations to 1e-10;
+    c is one weight or an array of one weight per column."""
     r1 = system.M_sigma @ sigma
     scale = np.maximum(_max_abs(r1), _max_abs(rhs))
     r1 -= system.B.T @ u
@@ -294,17 +301,16 @@ def _check_mixed(system, c, sigma, u, rhs):
         raise ToleranceNotMetError("algebraic residual exceeds 1e-10 relative")
 
 
-def step(system, U_prev, dtU_prev, k, load):
-    """Advance one step: returns (U, Sigma, dtU) at the new node.
-
-    The step is the mixed system of weight 1 / k^2 (solve_mixed).
-    """
-    if k <= 0.0:
-        raise SolverError("step size must be positive")
-    rhs_u = load + system.M_u @ (U_prev + k * dtU_prev) / k ** 2
-    U, Sigma = solve_mixed(system, 1.0 / k ** 2, rhs_u)
-    dtU = (U - U_prev) / k
-    return U, Sigma, dtU
+def _check_steps(system, grid, U, Sigma, dtU, f_bar):
+    """_check_mixed of each step n >= 1 at its weight 1 / k_n^2, in node blocks,
+    with the step's load g^n formed again from the states it kept."""
+    n_s, n_d = system.space.n_stress, system.space.n_disp
+    for b in _node_blocks(grid.num_steps, n_s + n_d):
+        k = grid.steps[b]
+        prev = slice(b.start, b.start + len(k))
+        new = slice(prev.start + 1, prev.stop + 1)
+        g = f_bar[new].T + system.M_u @ (U[prev] + k[:, None] * dtU[prev]).T / k ** 2
+        _check_mixed(system, 1.0 / k ** 2, Sigma[new].T, U[new].T, g)
 
 
 def _checked(matrix, x, rhs, what):
@@ -319,7 +325,7 @@ def _checked(matrix, x, rhs, what):
 def initial_stress(system, U0):
     """Sigma^0 from (alpha Sigma^0, v) = (U^0, div v) for all v_h.
 
-    Residuals above 1e-10 relative raise ToleranceNotMetError, as in step.
+    Residuals above 1e-10 relative raise ToleranceNotMetError, as in run.
     """
     try:
         lu = spla.splu(system.M_sigma.tocsc())
@@ -406,7 +412,11 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
     """Run the fully discrete scheme over `grid`; returns a Trajectory.
 
     f_bar^n is sampled with one f call per node at the space quadrature
-    (see Trajectory for what the run keeps of it).
+    (see Trajectory for what the run keeps of it).  Step n is four sparse
+    products and one triangular solve: its load g = f_bar^n + M_u (U^{n-1}
+    + k_n dtU^{n-1}) / k_n^2, the multipliers from the factor of weight
+    1 / k_n^2 (non-finite ones raise SingularSystemError) and the recovery
+    of (Sigma^n, U^n).  _check_steps checks all steps after the loop.
     """
     _check_forcing_mode(forcing_mode)
     space = system.space
@@ -432,10 +442,20 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
             if samples is not None:
                 defect[n] = step_defect(space, grid.steps[n - 1], fbar_quad[n], samples)
         f_bar = load_of_values(space, fbar_quad)
+    n_s, M_u = space.n_stress, system.M_u
+    # in step order, so the first step of each nominal size builds its factor
+    factors = {k: _condense(system, 1.0 / k ** 2) for k in dict.fromkeys(grid.steps)}
     for n in range(1, N + 1):
-        U[n], Sigma[n], dtU[n] = step(
-            system, U[n - 1], dtU[n - 1], grid.steps[n - 1], f_bar[n]
-        )
+        k = grid.steps[n - 1]
+        cond = factors[k]
+        g = f_bar[n] + M_u @ (U[n - 1] + k * dtU[n - 1]) / k ** 2
+        lam = cond.lu.solve(cond.rhs_map @ g)
+        if not np.isfinite(lam).all():
+            raise SingularSystemError("step {}: non-finite multipliers".format(n))
+        x = cond.recover(lam, g)
+        Sigma[n], U[n] = x[:n_s], x[n_s:]
+        dtU[n] = (U[n] - U[n - 1]) / k
+    _check_steps(system, grid, U, Sigma, dtU, f_bar)
     return Trajectory(
         grid=grid,
         system=system,

@@ -242,16 +242,19 @@ class MixedSpace:
         """Spatial gradients of the stress basis: (nc, nq, n_loc, 2, 2).
 
         Last two axes are (component, derivative direction); `pts` must
-        have shape (nc, nq, 2).
+        have shape (nc, nq, 2).  D maps coefficients to those of both
+        derivatives, which are monomials of the same exponent table.
         """
         loc, h = self._local_coords(cells, pts), self.mesh.h_cell[cells]
-        grads = []
-        for d in range(2):
-            dex = self.exponents.copy()
-            dex[:, d] = np.maximum(dex[:, d] - 1, 0)
-            mono = _monomials(dex, loc) * self.exponents[:, d]
-            grads.append(_per_cell(mono, self.stress_coeff[cells]))
-        return np.stack(grads, axis=-1) / h[:, None, None, None, None]
+        ex, n = self.exponents, len(self.exponents)
+        D = np.zeros((n, 2, n))
+        for s, d in zip(*np.nonzero(ex)):  # d/dX_d X^ex[s] = ex[s, d] X^(ex[s] - e_d)
+            D[s, d, (ex == ex[s] - np.eye(2, dtype=int)[d]).all(axis=1).argmax()] = ex[s, d]
+        coeff = self.stress_coeff[cells]
+        dcoeff = (coeff.reshape(-1, n) @ D.reshape(n, 2 * n)).reshape(coeff.shape[:-1] + (2, n))
+        grad = _per_cell(_monomials(ex, loc), dcoeff)
+        grad /= h[:, None, None, None, None]
+        return grad
 
     def eval_disp_basis(self, cells, pts):
         """Displacement basis (local monomials): (..., nq, n_loc_disp)."""

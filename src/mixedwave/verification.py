@@ -296,9 +296,7 @@ def run_spatial_study(
         traj = solve_problem(problem, n, N, T, rt_index, forcing_mode)
         err_u, err_s = true_error(traj, problem)
         e0 = initial_errors(traj, problem)
-        rep = est.compose_report(
-            traj, err_u=err_u, err_sigma=err_s, initial_errors=e0
-        )
+        rep = est.compose_report(traj, err_u=err_u, err_sigma=err_s, initial_errors=e0)
         if calibration is None:
             calibration = est.calibrate_scales(rep)
         cal = est.calibrated(rep, calibration)
@@ -373,9 +371,7 @@ def run_temporal_study(
         )
         du = traj.U - ref.U[::stride]
         ds = traj.Sigma - ref.Sigma[::stride]
-        eu.append(
-            max(float(np.sqrt(d @ (system.M_u @ d))) for d in du)
-        )
+        eu.append(max(float(np.sqrt(d @ (system.M_u @ d))) for d in du))
         es.append(max(alpha_norm(d) for d in ds))
         te = est.temporal_estimate(traj)
         e13s.append(float(te.e13[-1]))
@@ -431,31 +427,24 @@ def oracle_small_instance(problem=None, steps=3, rt_index=0, k=0.1):
     for n in range(1, steps + 1):
         kn = grid.steps[n - 1]
         K = np.block([[Ms, -B.T], [B, Mu / kn ** 2]])
-        rhs = np.concatenate(
-            [
-                np.zeros(ns),
-                traj.f_bar[n] + Mu @ (traj.U[n - 1] + kn * traj.dtU[n - 1]) / kn ** 2,
-            ]
-        )
-        sol = np.linalg.solve(K, rhs)
-        worst = max(worst, np.abs(sol[:ns] - traj.Sigma[n]).max() / scale)
-        worst = max(worst, np.abs(sol[ns:] - traj.U[n]).max() / scale)
+        g = traj.f_bar[n] + Mu @ (traj.U[n - 1] + kn * traj.dtU[n - 1]) / kn ** 2
+        sol = np.linalg.solve(K, np.concatenate([np.zeros(ns), g]))
+        worst = max(worst, np.abs(sol[:ns] - traj.Sigma[n]).max() / scale,
+                    np.abs(sol[ns:] - traj.U[n]).max() / scale)
 
     # reconstruction: dense solve of the enriched mixed Poisson problem
     recon = rec.reconstruct_trajectory(traj)
     fs = recon.fine_system
-    Msf = fs.M_sigma.toarray()
-    Bf = fs.B.toarray()
+    Bf, Muf = fs.B.toarray(), fs.M_u.toarray()
     nsf = recon.enriched.fine.n_stress
+    K = np.block([[fs.M_sigma.toarray(), -Bf.T], [Bf, np.zeros((Bf.shape[0], Bf.shape[0]))]])
     for n in range(steps + 1):
         dt2 = recon.enriched.P_disp @ traj.d2U[n]
         load = solver.load_vector(fs, traj.f, *grid.interval(n), traj.forcing_mode)
-        rhs = np.concatenate([np.zeros(nsf), load - fs.M_u.toarray() @ dt2])
-        K = np.block([[Msf, -Bf.T], [Bf, np.zeros((Bf.shape[0], Bf.shape[0]))]])
-        sol = np.linalg.solve(K, rhs)
+        sol = np.linalg.solve(K, np.concatenate([np.zeros(nsf), load - Muf @ dt2]))
         rscale = max(scale, np.abs(recon.sigma_tilde[n]).max())
-        worst = max(worst, np.abs(sol[:nsf] - recon.sigma_tilde[n]).max() / rscale)
-        worst = max(worst, np.abs(sol[nsf:] - recon.u_tilde[n]).max() / rscale)
+        worst = max(worst, np.abs(sol[:nsf] - recon.sigma_tilde[n]).max() / rscale,
+                    np.abs(sol[nsf:] - recon.u_tilde[n]).max() / rscale)
     return worst
 
 

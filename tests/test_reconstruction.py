@@ -223,10 +223,8 @@ _K = 0.05
 
 
 def _step_solve(system, rows):
-    """(U, Sigma) of a step of size _K from the zero state: weight 1 / _K^2."""
-    zero = np.zeros(system.space.n_disp)
-    U, Sigma, _ = solver.step(system, zero, zero, _K, rows)
-    return U, Sigma
+    """(u, sigma) rows of the mixed system of a step of size _K: weight 1 / _K^2."""
+    return solver.solve_mixed(system, _K ** -2, rows)
 
 
 @pytest.mark.parametrize("l", [0, 1])
@@ -253,8 +251,9 @@ def test_reconstruction_matches_a_saddle_point_solve(mesh, l):
 def test_reconstruction_solve_checks_its_residual(monkeypatch):
     # multipliers off by 1e-8 relative leave the two copies of each edge
     # dof apart, which trips the 1e-10 residual check on the mixed
-    # equations, in the reconstruction (weight 0) and in a time step
-    # (weight 1 / k^2) alike; the exact multiplier solve passes it
+    # equations, in the reconstruction (weight 0) and in solve_mixed at a
+    # step's weight 1 / k^2 alike; the exact multiplier solve passes it.
+    # test_solver.py checks the same of the steps that run takes
     space = MixedSpace(unit_square_mesh(3), 1)
     system = assemble_system(space)
     rhs = np.random.default_rng(3).standard_normal((5, space.n_disp))

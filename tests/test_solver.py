@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,18 @@ def test_time_grid_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(solver.GridError):
             solver.TimeGrid(np.array([0.0, 0.5, bad]))
+
+
+def test_time_grid_steps_are_computed_once_and_read_only():
+    nodes = np.array([0.0, 0.1, 0.3, 0.6])
+    grid = solver.TimeGrid(nodes)
+    assert grid.steps is grid.steps
+    np.testing.assert_allclose(grid.steps, [0.1, 0.2, 0.3], rtol=1e-15)
+    for a in (grid.nodes, grid.steps):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    nodes[1] = 0.2  # the grid holds its own copy
+    assert grid.nodes[1] == 0.1 and nodes.flags.writeable
 
 
 def test_interval_index():
@@ -389,3 +403,122 @@ def test_one_factorization_per_nominal_step():
     u0, u1 = _standing_data()
     solver.run(system, None, u0, u1, grid)
     assert len(system._factor_cache) == 1
+
+
+def _two_step_sizes():
+    """A forced RT1 run's data on a grid with steps 0.05 and 0.1."""
+    space = MixedSpace(unit_square_mesh(3), 1)
+    f = lambda x, y, t: (1.0 + x * y + t) * np.ones_like(x)
+    grid = solver.TimeGrid(np.array([0.0, 0.05, 0.1, 0.15, 0.25, 0.35]))
+    return assemble_system(space), f, grid
+
+
+@pytest.mark.parametrize("one_step_blocks", [False, True])
+def test_run_checks_every_step_at_its_own_weight(monkeypatch, one_step_blocks):
+    # run checks all steps after its loop, each column at its own weight
+    # 1 / k_n^2: a correct run with two step sizes passes, and multipliers
+    # off by 1e-8 relative from the factor of either size trip the 1e-10
+    # residual check, in one node block or in one block per step
+    system, f, grid = _two_step_sizes()
+    if one_step_blocks:
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 1)
+    solver.run(system, f, *_standing_data(), grid)
+    assert len(system._factor_cache) == 2
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1.0 + 1e-8)
+
+    for key, condensed in list(system._factor_cache.items()):
+        perturbed = dataclasses.replace(condensed, lu=Perturbed(condensed.lu))
+        with monkeypatch.context() as m:
+            m.setitem(system._factor_cache, key, perturbed)
+            with pytest.raises(solver.ToleranceNotMetError, match="1e-10"):
+                solver.run(system, f, *_standing_data(), grid)
+
+
+def test_run_stops_at_the_step_with_non_finite_multipliers(monkeypatch):
+    # a factor that returns NaN from its third solve on: run raises at
+    # step 3, solves no further step and computes nothing from the NaN
+    # (warnings are made errors here, as pyproject.toml does for RuntimeWarning)
+    system, f, grid = _two_step_sizes()
+    solver.run(system, f, *_standing_data(), grid)
+
+    class NaNFromThird:
+        calls = 0
+
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            NaNFromThird.calls += 1
+            x = self.lu.solve(b)
+            return np.full_like(x, np.nan) if NaNFromThird.calls >= 3 else x
+
+    for key, condensed in list(system._factor_cache.items()):
+        monkeypatch.setitem(
+            system._factor_cache, key, dataclasses.replace(condensed, lu=NaNFromThird(condensed.lu))
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.SingularSystemError, match="step 3"):
+            solver.run(system, f, *_standing_data(), grid)
+    assert NaNFromThird.calls == 3
+
+
+class _Counting:
+    """A matrix or factor whose products and solves are counted by name."""
+
+    def __init__(self, wrapped, counts, name):
+        self.wrapped, self.counts, self.name = wrapped, counts, name
+        counts.setdefault(name, 0)
+
+    def __matmul__(self, x):
+        self.counts[self.name] += 1
+        return self.wrapped @ x
+
+    def solve(self, b):
+        self.counts[self.name] += 1
+        return self.wrapped.solve(b)
+
+    @property
+    def T(self):
+        return _Counting(self.wrapped.T, self.counts, self.name + ".T")
+
+    def __getattr__(self, attr):
+        return getattr(self.wrapped, attr)
+
+
+def _counted_run(N):
+    """Products and solves by matrix of a forced run of N steps."""
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space)
+    grid = solver.uniform_grid(0.5, N)
+    solver._condense(system, 1.0 / grid.steps[0] ** 2)
+    counts = {}
+    for key, cond in list(system._factor_cache.items()):
+        names = ("lu", "rhs_map", "lam_map", "load_map")
+        system._factor_cache[key] = dataclasses.replace(
+            cond, **{name: _Counting(getattr(cond, name), counts, name) for name in names}
+        )
+    for name in ("M_sigma", "B", "M_u"):
+        setattr(system, name, _Counting(getattr(system, name), counts, name))
+    f = lambda x, y, t: (1.0 + x + t) * np.ones_like(x)
+    solver.run(system, f, *_standing_data(), grid)
+    return counts
+
+
+def test_run_makes_one_solve_and_four_sparse_products_per_step():
+    # per step: the load's M_u product, the multiplier solve and its
+    # right-hand side, and the two products of the recovery.  Beyond the
+    # steps: initial_stress's M_sigma and B.T products, and the residual
+    # check's five per node block (both runs are one block)
+    for N in (4, 12):
+        counts = _counted_run(N)
+        assert counts == {
+            "lu": N, "rhs_map": N, "lam_map": N, "load_map": N,
+            "M_u": N + 2, "M_sigma": 2, "B": 1, "B.T": 2,
+        }

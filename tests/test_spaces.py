@@ -124,6 +124,23 @@ def test_broken_grad():
         assert np.abs(g[..., 1]).max() < 1e-12
 
 
+@pytest.mark.parametrize("l", [0, 1])
+def test_stress_grad_basis_matches_central_differences(l):
+    # the basis is quadratic at most, so central differences are exact
+    # up to rounding; an empty cell set keeps its shape
+    space = sp.MixedSpace(_jittered_mesh(3, 5), l)
+    cells, pts = np.arange(space.mesh.num_cells), space.quad_points
+    grad = space.eval_stress_grad_basis(cells, pts)
+    assert grad.shape == pts.shape[:2] + (space.n_loc_stress, 2, 2)
+    e = 1e-4
+    for d in range(2):
+        step = e * np.eye(2)[d]
+        fd = space.eval_stress_basis(cells, pts + step) - space.eval_stress_basis(cells, pts - step)
+        np.testing.assert_allclose(grad[..., d], fd / (2 * e), rtol=0, atol=1e-8 * np.abs(grad).max())
+    empty = space.eval_stress_grad_basis(cells[:0], pts[:0])
+    assert empty.shape == (0,) + grad.shape[1:]
+
+
 def _jittered_mesh(n, seed):
     base = unit_square_mesh(n)
     v = np.array(base.vertices)
