@@ -246,8 +246,10 @@ class EstimatorOperators:
     cellwise L2 norm is a block norm of the image.
 
     alpha_sigma : alpha Sigma_h at the cell quadrature, rows (T, nq, 2)
-    grad_u : grad_h U at the cell quadrature, rows (T, nq, 2), on
-        displacement coefficients; the zero map for RT0
+    grad_u : the broken gradient grad_h U at the cell quadrature, rows
+        (T, nq, 2), on displacement coefficients, from
+        MixedSpace.eval_disp_grad_basis; the zero map, with no stored
+        entries, for RT0, whose displacements are constant on each cell
     jump : (alpha Sigma_h) . t, left minus right cell of Mesh.edge_cells,
         on the interior edges in index order, rows (n_interior, nq_edge);
         t is the canonical edge tangent, and boundary edges carry no jump
@@ -277,14 +279,9 @@ def _build_estimator_ops(system):
         _block_diag(sqrt_w[..., None] * alpha) @ space.stress_quad_map
     ).tocsr()
 
-    # the RT1 displacement basis {1, X, Y}, X = (x - x_c) / h_K, has
-    # gradients 0, (1/h_K, 0) and (0, 1/h_K)
-    if space.rt_index == 0:
-        grad_u = sp.csr_matrix((alpha_sigma.shape[0], space.n_disp))
-    else:
-        loc = np.zeros(pts.shape + (3,))
-        loc[..., 0, 1] = loc[..., 1, 2] = sqrt_w[..., 0] / mesh.h_cell[:, None]
-        grad_u = _cell_rows(loc, space.cell_disp_dofs, space.n_disp)
+    grad = np.swapaxes(space.eval_disp_grad_basis(np.arange(T), pts), -1, -2)
+    grad_u = _cell_rows(sqrt_w[..., None] * grad, space.cell_disp_dofs, space.n_disp)
+    grad_u.eliminate_zeros()  # all of it for RT0: constants have no slope
 
     # tangential traces from both sides of each interior edge
     interior = np.flatnonzero(~mesh.boundary_edge)

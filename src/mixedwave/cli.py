@@ -95,21 +95,16 @@ def read_config_file(path):
 
 
 def parse_config(argv):
-    """Resolve the run configuration: defaults < config file < flags."""
+    """Resolve the run configuration: defaults < config file < flags; every
+    key but the command has a flag (mesh_n as --mesh-n), checked by _coerce."""
     ap = argparse.ArgumentParser(prog="mixedwave", add_help=True)
-    ap.add_argument("command", nargs="?", choices=_CHOICES["command"])
+    ap.add_argument("command", nargs="?", help=", ".join(_CHOICES["command"]))
     ap.add_argument("--config")
-    ap.add_argument("--out")
-    ap.add_argument("--problem")
-    ap.add_argument("--mesh-n", dest="mesh_n", type=int)
-    ap.add_argument("--mesh-files", dest="mesh_files", nargs=2, metavar=("NODE", "ELE"))
-    ap.add_argument("--rt-index", dest="rt_index", type=int)
-    ap.add_argument("--steps", type=int)
-    ap.add_argument("--T", dest="T", type=float)
-    ap.add_argument("--forcing")
-    ap.add_argument("--constants")
-    ap.add_argument("--study", dest="study")
-    ap.add_argument("--levels")
+    for key in _DEFAULTS:
+        if key == "mesh_files":
+            ap.add_argument("--mesh-files", dest=key, nargs=2, metavar=("NODE", "ELE"))
+        elif key != "command":
+            ap.add_argument("--" + key.replace("_", "-"), dest=key)
     args = ap.parse_args(argv)
 
     cfg = dict(_DEFAULTS)
@@ -118,7 +113,7 @@ def parse_config(argv):
             raise MissingRequiredError("config file '{}' not found".format(args.config))
         cfg.update(read_config_file(args.config))
     for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             if key == "mesh_files":
                 flag = ",".join(flag)

@@ -127,14 +127,11 @@ def _stress_prolongation(coarse, fine, parent):
     fine.edge_cells[:, 0]; coarse RT normal traces are single-valued
     across edges, so the side is immaterial.
     """
-    edge_parent = parent[fine.mesh.edge_cells[:, 0]]
-    edge_pts, _ = fine.edge_quadrature()
-
     def basis(cells, pts):  # the coarse local basis as a trailing batch axis
-        return np.swapaxes(coarse.eval_stress_basis(cells, pts), -1, -2)
+        return np.swapaxes(coarse.eval_stress_basis(parent[cells], pts), -1, -2)
 
-    cell_basis = basis(parent, fine.quad_points) if coarse.rt_index else None
-    local = rt_interpolate(fine, basis(edge_parent, edge_pts), cell_basis)
+    local = rt_interpolate(fine, basis)
+    edge_parent = parent[fine.mesh.edge_cells[:, 0]]
     source = np.concatenate([edge_parent, parent])[fine.stress_dof_entity]
     return _cell_rows(local, coarse.cell_stress_dofs[source], coarse.n_stress)
 

@@ -45,13 +45,14 @@ class GridError(SolverError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing finite time nodes t_0 = 0 < ... < t_N = T and
-    the steps k_n = t_n - t_{n-1}, n >= 1, both read-only, computed once."""
+    the steps k_n = t_n - t_{n-1}, n >= 1, both read-only, computed once.
+    Grids compare and hash by identity."""
 
     nodes: np.ndarray
-    steps: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.array(self.nodes, dtype=float)
@@ -189,7 +190,7 @@ def _condense(system, c):
     if key in system._factor_cache:
         return system._factor_cache[key]
     space = system.space
-    mesh, l = space.mesh, space.rt_index
+    mesh = space.mesh
     T, nl, nd = mesh.num_cells, space.n_loc_stress, space.n_loc_disp
     L = np.empty((T, nl + nd, nl + nd))
     L[:, :nl, :nl] = system.stress_blocks
@@ -201,16 +202,16 @@ def _condense(system, c):
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
 
-    # local edge dof (l + 1) e + i lies on edge e; multiplier slot 0
-    # stands for the boundary and is dropped from every map
-    ne = 3 * (l + 1)
+    # a cell's n_loc_edge edge dofs come first; the multiplier slot of a
+    # stress dof is its rank among the interior-edge dofs, and slot 0
+    # stands for every other dof and is dropped from every map
+    ne = space.n_loc_edge
     edge_dofs = space.cell_stress_dofs[:, :ne]
-    edge = edge_dofs // (l + 1)
-    interior = ~mesh.boundary_edge
-    mult = (l + 1) * (np.cumsum(interior) - 1)[edge] + edge_dofs % (l + 1)
-    slot = np.where(interior[edge], mult + 1, 0)
-    sign = np.where(mesh.edge_cells[edge, 0] == np.arange(T)[:, None], 1.0, -1.0)
-    n = (l + 1) * int(interior.sum()) + 1  # multipliers and the boundary's zero
+    entity = space.stress_dof_entity
+    interior = np.r_[~mesh.boundary_edge, np.zeros(T, dtype=bool)][entity]
+    slot = np.where(interior, np.cumsum(interior), 0)[edge_dofs]
+    sign = np.where(mesh.edge_cells[entity[edge_dofs], 0] == np.arange(T)[:, None], 1.0, -1.0)
+    n = int(interior.sum()) + 1  # multipliers and the boundary's zero
     block = sign[:, :, None] * sign[:, None, :] * Linv[:, :ne, :ne]
     S = _scatter(block, slot, slot, (n, n))[1:, 1:].tocsc()
     try:

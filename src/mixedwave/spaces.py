@@ -1,16 +1,25 @@
 """Raviart-Thomas stress spaces paired with discontinuous displacement spaces.
 
 V_h = RT_l (H(div)-conforming, l in {0, 1}) and W_h = discontinuous P_l.
-Stress degrees of freedom are edge moments of the normal trace against
-{1, xi} taken in the canonical edge direction, plus (for l = 1) cell
-moments against the constant vector fields.  Because the functionals are
-defined globally, the per-cell dual bases of the two cells sharing an
-edge have identical normal traces, which gives normal continuity without
-any sign bookkeeping.
+This module alone knows the element: its dof layout, its basis and the
+derivatives of that basis.  Stress dof (l + 1) e + i is the moment of the
+normal trace on edge e against the i-th of {1, 2 xi - 1}, xi running from
+0 to 1 along the edge (_edge_moments); the l (l + 1) dofs of cell t follow
+all edge dofs, for RT1 dof 2 E + 2 t + c being the integral of component
+c over cell t (_cell_integrals).  A row of cell_stress_dofs holds a
+cell's n_loc_edge edge dofs, then its cell dofs; stress_dof_entity names
+the edge or cell of each dof.  The functionals are defined globally, so
+the dual bases of two cells sharing an edge have identical normal traces.
 
-Bases are represented by monomial coefficients in cell-local scaled
-coordinates X = (x - x_c) / h_K; for affine triangles this intrinsic
-construction spans the same space as the Piola-mapped reference basis.
+Bases are monomial coefficients in local coordinates X = (x - x_c) / h_K,
+which for affine triangles span the Piola-mapped reference spaces.  The
+nodal stress basis is dual to the functionals within the modal fields
+P_l^2 + (X, Y) P~_l; one monomial derivative map per index, built at
+import, gives its divergence and gradient and the displacement gradient.
+The basis and rt_interpolate take the functionals with the space's own
+rules, which are exact for them: a moment's integrand has degree 2 l + 1
+and the edge rule 2 l + 3; a field has degree l + 1 and the cell rule
+2 l + 4.
 
 A discrete field is its coefficient row: a stress row of length n_stress
 or a displacement row of length n_disp, or a stack of such rows.  Each
@@ -18,11 +27,7 @@ space builds each of its sparse quadrature maps (stress_quad_map,
 div_quad_map, disp_quad_map) on first use; loads, estimator operators
 and MixedSpace.stress_values, div_values and disp_values read them, and
 assembly reads the local bases at the quadrature (local_quad_values).
-eval_*_basis evaluates the local bases at any points.  This module alone
-knows the stress degree-of-freedom layout: edge dof (l + 1) e + i is the
-normal moment on edge e against the i-th of {1, 2 xi - 1}, and for RT1
-dof 2 E + 2 t + c is the integral of component c over cell t (see
-rt_interpolate).
+eval_*_basis evaluates the local bases at any points.
 """
 
 import math
@@ -43,40 +48,42 @@ class UnsupportedIndexError(SpaceError):
     """RT index outside {0, 1}."""
 
 
-# monomial exponents per RT index (shared by both vector components)
-_EXPONENTS = {
-    0: np.array([[0, 0], [1, 0], [0, 1]]),
-    1: np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]),
-}
+def _exponents(degree):
+    """Exponents of the monomials of total degree <= degree, by degree: (n, 2)."""
+    return np.array([(d - j, j) for d in range(degree + 1) for j in range(d + 1)])
 
 
-def _modal_fields(l):
-    """Modal basis of RT_l in local coordinates: (n_modal, 2, n_mono)."""
-    nm = len(_EXPONENTS[l])
-    if l == 0:
-        fields = np.zeros((3, 2, nm))
-        fields[0, 0, 0] = 1.0  # (1, 0)
-        fields[1, 1, 0] = 1.0  # (0, 1)
-        fields[2, 0, 1] = 1.0  # (X, Y)
-        fields[2, 1, 2] = 1.0
-        div = np.zeros((3, nm))
-        div[2, 0] = 2.0
-    else:
-        fields = np.zeros((8, 2, nm))
-        for i, mono in enumerate([0, 1, 2]):  # (q, 0) for q in {1, X, Y}
-            fields[i, 0, mono] = 1.0
-        for i, mono in enumerate([0, 1, 2]):  # (0, q)
-            fields[3 + i, 1, mono] = 1.0
-        fields[6, 0, 3] = 1.0  # X * (X, Y) = (X^2, XY)
-        fields[6, 1, 4] = 1.0
-        fields[7, 0, 4] = 1.0  # Y * (X, Y) = (XY, Y^2)
-        fields[7, 1, 5] = 1.0
-        div = np.zeros((8, nm))
-        div[1, 0] = 1.0  # d/dX of (X, 0)
-        div[5, 0] = 1.0  # d/dY of (0, Y)
-        div[6, 1] = 3.0  # div (X^2, XY) = 3X
-        div[7, 2] = 3.0  # div (XY, Y^2) = 3Y
-    return fields, div
+def _index(ex, e):
+    return int((ex == e).all(axis=1).argmax())
+
+
+def _derivative_map(ex):
+    """D (n, 2, n) with d/dX_d X^ex[s] = sum_r D[s, d, r] X^ex[r]."""
+    D = np.zeros((len(ex), 2, len(ex)))
+    for s, d in zip(*np.nonzero(ex)):  # ex[s, d] X^(ex[s] - e_d)
+        D[s, d, _index(ex, ex[s] - np.eye(2, dtype=int)[d])] = ex[s, d]
+    return D
+
+
+def _modal_fields(l, ex):
+    """Modal basis of RT_l = P_l^2 + (X, Y) P~_l in the monomials ex:
+    (n_modal, 2, n_mono).  P_l is the leading rows of ex and P~_l its
+    monomials of degree exactly l."""
+    n_p = (l + 1) * (l + 2) // 2
+    fields = np.zeros((2 * n_p + l + 1, 2, len(ex)))
+    for c, e in enumerate(np.eye(2, dtype=int)):
+        fields[c * n_p + np.arange(n_p), c, np.arange(n_p)] = 1.0  # q e_c
+        for i, s in enumerate(range(n_p - l - 1, n_p)):  # X^ex[s] (X, Y)
+            fields[2 * n_p + i, c, _index(ex, ex[s] + e)] = 1.0
+    return fields
+
+
+# per RT index l: the monomials of degree <= l + 1 that the stress fields
+# are written in (the P_l displacement monomials are their leading rows),
+# their derivative map and the modal fields
+_EXPONENTS = {l: _exponents(l + 1) for l in (0, 1)}
+_DERIVATIVE = {l: _derivative_map(ex) for l, ex in _EXPONENTS.items()}
+_MODAL = {l: _modal_fields(l, ex) for l, ex in _EXPONENTS.items()}
 
 
 def _monomials(exponents, pts_local):
@@ -132,25 +139,25 @@ class MixedSpace:
         l = rt_index
         self.mesh = mesh
         self.rt_index = l
-        self.cell_degree = 2 * l + 4
-        self.edge_degree = 2 * l + 3
         # reference edge rule (xi, weights) on [0, 1]; see edge_quadrature
-        self.edge_rule = quadrature.segment_rule(self.edge_degree)
+        self.edge_rule = quadrature.segment_rule(2 * l + 3)
+        rp, rw = quadrature.triangle_rule(2 * l + 4)
+        self.quad_points, self.quad_weights = quadrature.map_to_cells(mesh, rp, rw)
 
+        # l + 1 dofs per edge and l (l + 1) per cell; dim P_l per cell
         T, E = mesh.num_cells, mesh.num_edges
-        self.n_stress = E * (l + 1) + (2 * T if l == 1 else 0)
-        self.n_disp = T * (1 if l == 0 else 3)
-        self.n_loc_stress = 3 * (l + 1) + (2 if l == 1 else 0)
-        self.n_loc_disp = 1 if l == 0 else 3
+        self.n_loc_edge = 3 * (l + 1)
+        self.n_loc_stress = self.n_loc_edge + l * (l + 1)
+        self.n_loc_disp = (l + 1) * (l + 2) // 2
+        self.n_stress = E * (l + 1) + T * l * (l + 1)
+        self.n_disp = T * self.n_loc_disp
 
         self.exponents = _EXPONENTS[l]
-        self.disp_exponents = _EXPONENTS[1][: self.n_loc_disp]
+        self.disp_exponents = self.exponents[: self.n_loc_disp]
         self.centroids = mesh.cell_centroids()
 
         self._build_dof_maps()
         self._build_nodal_basis()
-        rp, rw = quadrature.triangle_rule(self.cell_degree)
-        self.quad_points, self.quad_weights = quadrature.map_to_cells(mesh, rp, rw)
 
     # ------------------------------------------------------------------
     # construction
@@ -158,16 +165,13 @@ class MixedSpace:
     def _build_dof_maps(self):
         mesh, l = self.mesh, self.rt_index
         T, E = mesh.num_cells, mesh.num_edges
-        ce = mesh.cell_edges
-        if l == 0:
-            self.cell_stress_dofs = ce.copy()
-        else:
-            edge_dofs = np.stack([2 * ce, 2 * ce + 1], axis=2).reshape(T, 6)
-            interior = 2 * E + 2 * np.arange(T)[:, None] + np.array([[0, 1]])
-            self.cell_stress_dofs = np.hstack([edge_dofs, interior])
+        per_cell = l * (l + 1)
+        edge_dofs = (l + 1) * mesh.cell_edges[:, :, None] + np.arange(l + 1)
+        cell_dofs = (l + 1) * E + per_cell * np.arange(T)[:, None] + np.arange(per_cell)
+        self.cell_stress_dofs = np.hstack([edge_dofs.reshape(T, -1), cell_dofs])
         # the mesh entity of each stress dof: edge e, or cell t as E + t
         self.stress_dof_entity = np.repeat(
-            np.arange(E + T), np.r_[np.full(E, l + 1), np.full(T, 2 * l)]
+            np.arange(E + T), np.r_[np.full(E, l + 1), np.full(T, per_cell)]
         )
         nd = self.n_loc_disp
         self.cell_disp_dofs = nd * np.arange(T)[:, None] + np.arange(nd)[None, :]
@@ -179,49 +183,32 @@ class MixedSpace:
         return (pts - c[..., None, :]) / h[..., None, None]
 
     def _build_nodal_basis(self):
-        mesh, l = self.mesh, self.rt_index
-        T = mesh.num_cells
-        nl = self.n_loc_stress
-        modal, modal_div = _modal_fields(l)
-        n_modal = len(modal)
+        T, l = self.mesh.num_cells, self.rt_index
+        modal, cells = _MODAL[l], np.arange(T)
+        n_modal, n_mono = len(modal), modal.shape[-1]
+        to_modal = modal.transpose(2, 1, 0).reshape(n_mono, 2 * n_modal)
 
-        D = np.zeros((T, nl, n_modal))
+        def modal_values(pts):  # (T, m, 2) -> (T, m, 2, n_modal)
+            mono = _monomials(self.exponents, self._local_coords(cells, pts))
+            return (mono @ to_modal).reshape(pts.shape + (n_modal,))
 
-        # edge-moment rows: exact for (modal deg l+1) x (q deg l)
-        tq, tw = quadrature.segment_rule(2 * l + 1)
-        normals = mesh.edge_normals()
-        for j in range(3):  # local edge slot, opposite vertex j
-            e = mesh.cell_edges[:, j]
-            a = mesh.vertices[mesh.edges[e, 0]]
-            b = mesh.vertices[mesh.edges[e, 1]]
-            pts = a[:, None, :] + tq[None, :, None] * (b - a)[:, None, :]
-            w = mesh.h_edge[e, None] * tw[None, :]  # (T, nq)
-            loc = self._local_coords(np.arange(T), pts)
-            mono = _monomials(self.exponents, loc)  # (T, nq, n_mono)
-            vals = np.einsum("mcs,tqs->tqmc", modal, mono)  # (T, nq, n_modal, 2)
-            vn = np.einsum("tqmc,tc->tqm", vals, normals[e])
-            for i in range(l + 1):
-                q = np.ones_like(tq) if i == 0 else 2.0 * tq - 1.0
-                D[:, j * (l + 1) + i, :] = np.einsum("tq,tqm->tm", w * q[None, :], vn)
-
-        if l == 1:
-            rp, rw = quadrature.triangle_rule(l + 1)
-            pts, w = quadrature.map_to_cells(mesh, rp, rw)
-            loc = self._local_coords(np.arange(T), pts)
-            mono = _monomials(self.exponents, loc)
-            vals = np.einsum("mcs,tqs->tqmc", modal, mono)
-            D[:, 6, :] = np.einsum("tq,tqm->tm", w, vals[..., 0])
-            D[:, 7, :] = np.einsum("tq,tqm->tm", w, vals[..., 1])
-
+        # D[t, k, j]: functional k of cell t applied to modal field j
+        ce = self.mesh.cell_edges
+        pts, _ = self.edge_quadrature()
+        vals = modal_values(pts[ce].reshape(T, -1, 2)).reshape((3 * T, -1, 2, n_modal))
+        D = [_edge_moments(self, ce.ravel(), vals).reshape(T, -1, n_modal)]
+        if l:
+            D.append(_cell_integrals(self, modal_values(self.quad_points)))
         # nodal_k = sum_j C[t, j, k] modal_j with C = D^-1, so the nodal
         # coefficients are D^-T times the modal ones: one solve, no inverse
-        n_mono = modal.shape[-1]
-        rhs = np.concatenate([modal.reshape(n_modal, -1), modal_div], axis=1)
         coef = np.linalg.solve(
-            np.swapaxes(D, 1, 2), np.broadcast_to(rhs, (T,) + rhs.shape)
+            np.swapaxes(np.concatenate(D, axis=1), 1, 2),
+            np.broadcast_to(modal.reshape(n_modal, -1), (T, n_modal, 2 * n_mono)),
         )
-        self.stress_coeff = coef[..., : 2 * n_mono].reshape(T, nl, 2, n_mono)
-        self.stress_div_coeff = coef[..., 2 * n_mono :] / mesh.h_cell[:, None, None]
+        self.stress_coeff = coef.reshape(T, -1, 2, n_mono)
+        # div sum_{c,s} a_cs X^ex[s] e_c = sum_{c,s,r} a_cs D[s, c, r] X^ex[r] / h
+        div = np.swapaxes(_DERIVATIVE[l], 0, 1).reshape(2 * n_mono, n_mono)
+        self.stress_div_coeff = coef @ div / self.mesh.h_cell[:, None, None]
 
     # ------------------------------------------------------------------
     # basis evaluation
@@ -242,19 +229,27 @@ class MixedSpace:
         """Spatial gradients of the stress basis: (nc, nq, n_loc, 2, 2).
 
         Last two axes are (component, derivative direction); `pts` must
-        have shape (nc, nq, 2).  D maps coefficients to those of both
-        derivatives, which are monomials of the same exponent table.
+        have shape (nc, nq, 2).  The derivative map takes coefficients to
+        those of both derivatives, in the same monomials.
         """
         loc, h = self._local_coords(cells, pts), self.mesh.h_cell[cells]
-        ex, n = self.exponents, len(self.exponents)
-        D = np.zeros((n, 2, n))
-        for s, d in zip(*np.nonzero(ex)):  # d/dX_d X^ex[s] = ex[s, d] X^(ex[s] - e_d)
-            D[s, d, (ex == ex[s] - np.eye(2, dtype=int)[d]).all(axis=1).argmax()] = ex[s, d]
+        n = len(self.exponents)
         coeff = self.stress_coeff[cells]
-        dcoeff = (coeff.reshape(-1, n) @ D.reshape(n, 2 * n)).reshape(coeff.shape[:-1] + (2, n))
-        grad = _per_cell(_monomials(ex, loc), dcoeff)
+        D = _DERIVATIVE[self.rt_index].reshape(n, 2 * n)
+        dcoeff = (coeff.reshape(-1, n) @ D).reshape(coeff.shape[:-1] + (2, n))
+        grad = _per_cell(_monomials(self.exponents, loc), dcoeff)
         grad /= h[:, None, None, None, None]
         return grad
+
+    def eval_disp_grad_basis(self, cells, pts):
+        """Spatial gradients of the displacement basis for `pts` (nc, nq, 2):
+        (nc, nq, n_loc_disp, 2), a view of a C-ordered (nc, nq, 2, n_loc_disp)
+        array.  P_l takes the leading block of the derivative map."""
+        nd = self.n_loc_disp
+        D = _DERIVATIVE[self.rt_index][:nd, :, :nd].transpose(2, 1, 0).reshape(nd, 2 * nd)
+        grad = (self.eval_disp_basis(cells, pts) @ D).reshape(pts.shape[:-1] + (2, nd))
+        grad /= self.mesh.h_cell[cells][:, None, None, None]
+        return np.swapaxes(grad, -1, -2)
 
     def eval_disp_basis(self, cells, pts):
         """Displacement basis (local monomials): (..., nq, n_loc_disp)."""
@@ -354,36 +349,48 @@ def fortin_interpolate(space, fn):
     Satisfies div(Pi_h v) = P_h(div v) up to quadrature accuracy.
     Returns the stress coefficient row.
     """
-    edge_pts, _ = space.edge_quadrature()
-    cell_values = _eval_vector(fn, space.quad_points) if space.rt_index else None
-    return rt_interpolate(space, _eval_vector(fn, edge_pts), cell_values)
+    return rt_interpolate(space, lambda cells, pts: _eval_vector(fn, pts))
 
 
-def rt_interpolate(space, edge_values, cell_values):
+def rt_interpolate(space, sample):
     """RT_l degrees of freedom of a vector field from its samples.
 
-    edge_values (E, nq_e, 2, ...) are samples at space.edge_quadrature()
-    and cell_values (T, nq, 2, ...) samples at space.quad_points; the
-    trailing axes are a batch.  Edge dof (l + 1) e + i is the moment of
-    the normal trace on edge e against the i-th of {1, 2 xi - 1}, xi
-    running from 0 to 1 along the edge; for RT1, dof 2 E + 2 t + c is the
-    integral of component c over cell t (RT0 reads no cell values, which
-    may be None).
-    Returns the (n_stress, ...) degrees of freedom.
+    sample(cells, pts) returns the field at points pts (n, nq, 2) of the
+    cells (n,), shape (n, nq, 2, ...); the trailing axes are a batch.  It
+    is called at space.edge_quadrature(), each edge in its cell
+    Mesh.edge_cells[:, 0], and, if the space has cell dofs, at
+    space.quad_points.  Returns the (n_stress, ...) degrees of freedom in
+    the layout of the module docstring.
     """
-    mesh, l = space.mesh, space.rt_index
-    tq, _ = space.edge_rule
-    _, w = space.edge_quadrature()
-    vn = np.einsum("eqc...,ec->eq...", edge_values, mesh.edge_normals())
-    tests = (np.ones_like(tq), 2.0 * tq - 1.0)[: l + 1]
-    moments = np.stack(
-        [np.einsum("eq,eq...->e...", w * q[None, :], vn) for q in tests], axis=1
-    )
-    parts = [moments.reshape((-1,) + moments.shape[2:])]
-    if l == 1:
-        cellint = np.einsum("tq,tqc...->tc...", space.quad_weights, cell_values)
-        parts.append(cellint.reshape((-1,) + cellint.shape[2:]))
-    return np.concatenate(parts)
+    mesh = space.mesh
+    edge_pts, _ = space.edge_quadrature()
+    edge_values = sample(mesh.edge_cells[:, 0], edge_pts)
+    dofs = [_edge_moments(space, np.arange(mesh.num_edges), edge_values)]
+    if space.rt_index:
+        cells = np.arange(mesh.num_cells)
+        dofs.append(_cell_integrals(space, sample(cells, space.quad_points)))
+    return np.concatenate([d.reshape((-1,) + d.shape[2:]) for d in dofs])
+
+
+def _edge_moments(space, edges, values):
+    """Moments of the normal traces on `edges` against {1, 2 xi - 1}[:l + 1]:
+    (len(edges), l + 1, ...) from samples (len(edges), nq_e, 2, ...) of a
+    field at space.edge_quadrature(edges), the trailing axes a batch."""
+    mesh, (xi, w) = space.mesh, space.edge_rule
+    tests = w * np.stack([np.ones_like(xi), 2.0 * xi - 1.0])[: space.rt_index + 1]
+    hn = mesh.h_edge[edges, None] * mesh.edge_normals()[edges]
+    kernel = hn[:, None, None, :] * tests[..., None]  # [e, i, q, c] = |e| w_q test_i(xi_q) n_c
+    ne, nt = len(edges), len(tests)
+    moments = kernel.reshape(ne, nt, -1) @ values.reshape(ne, 2 * len(xi), -1)
+    return moments.reshape((ne, nt) + values.shape[3:])
+
+
+def _cell_integrals(space, values):
+    """Integrals over every cell of the components of values (T, nq, 2, ...),
+    samples at space.quad_points: (T, 2, ...)."""
+    w = space.quad_weights
+    integrals = w[:, None, :] @ values.reshape(values.shape[:2] + (-1,))
+    return integrals.reshape((len(w),) + values.shape[2:])
 
 
 def _eval_scalar(fn, pts):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -84,6 +85,34 @@ def test_bad_numeric_ranges():
             cli.parse_config(
                 ["study", "--problem", "standing-wave", "--study", study, "--levels", levels]
             )
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--mesh-n", "abc", "key 'mesh_n' expects an integer, got 'abc'"),
+        ("--T", "soon", "key 'T' expects a number, got 'soon'"),
+        ("--rt-index", "2", "key 'rt_index' must be one of (0, 1), got 2"),
+    ],
+)
+def test_bad_flag_value_is_a_config_error(tmp_path, capsys, flag, value, message):
+    # flags and config files share one coercion and its messages
+    out = tmp_path / "o"
+    rc = cli.main(["estimate", "--problem", "standing-wave", "--out", str(out), flag, value])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == "config-error: {}\n".format(message)
+    conf = tmp_path / "run.conf"
+    conf.write_text("{} = {}\n".format(flag[2:].replace("-", "_"), value))
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.read_config_file(str(conf))
+
+
+def test_flags_are_typed_like_config_values():
+    cfg = cli.parse_config(["solve", "--problem", "standing-wave", "--rt-index", "1", "--T", "0.25"])
+    assert cfg["rt_index"] == 1 and type(cfg["rt_index"]) is int
+    assert cfg["T"] == 0.25 and type(cfg["T"]) is float
+    with pytest.raises(cli.UnknownValueError, match="command"):
+        cli.parse_config(["bogus", "--problem", "standing-wave"])
 
 
 def test_study_needs_three_levels():

@@ -5,7 +5,10 @@ value computed and then forgotten; names starting with "_" are exempt.
 No module imports scipy.special: its import alone costs every run a few
 MB of resident memory, and numpy builds the quadrature rules.  No module
 calls spsolve: every sparse system is factorized once with splu and its
-factor kept, and block-diagonal ones are solved cell by cell.
+factor kept, and block-diagonal ones are solved cell by cell.  Only
+spaces.py branches on the RT index: the element's layout, basis and
+derivatives live there, and no other module may compare rt_index with a
+constant or test its truth.
 """
 
 import ast
@@ -84,3 +87,41 @@ def test_no_module_calls_spsolve(path):
         )
     ] + [name for name in _imported_modules(tree) if name.endswith(".spsolve")]
     assert not found, "{} calls spsolve: {}".format(path.name, ", ".join(found))
+
+
+def _rt_index_branches(tree):
+    """Lines that compare rt_index with a constant or test its truth."""
+    def is_rt(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            node = node.operand
+        return "rt_index" in (getattr(node, "attr", None), getattr(node, "id", None))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            constant = (ast.Constant, ast.Tuple, ast.List, ast.Set)
+            if any(map(is_rt, operands)) and any(isinstance(o, constant) for o in operands):
+                yield node.lineno
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)) and is_rt(node.test):
+            yield node.lineno
+        elif isinstance(node, ast.BoolOp) and any(map(is_rt, node.values)):
+            yield node.lineno
+
+
+def test_rt_index_guard_sees_comparisons_and_truth_tests():
+    source = (
+        "if space.rt_index == 1:\n    pass\n"
+        "x = a if not s.rt_index else b\n"
+        "y = 0 < rt_index\n"
+        "z = rt_index in (0, 1) or space.rt_index\n"
+        "w = h ** (space.rt_index + 1)\n"
+    )
+    assert sorted(_rt_index_branches(ast.parse(source))) == [1, 3, 4, 5, 5]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "spaces.py"}), ids=lambda p: p.name
+)
+def test_only_spaces_branches_on_the_rt_index(path):
+    lines = sorted(set(_rt_index_branches(ast.parse(path.read_text(), filename=str(path)))))
+    assert not lines, "{} branches on rt_index at lines {}".format(path.name, lines)

@@ -40,6 +40,12 @@ def test_time_grid_steps_are_computed_once_and_read_only():
     assert grid.nodes[1] == 0.1 and nodes.flags.writeable
 
 
+def test_time_grids_compare_and_hash_by_identity():
+    a, b = solver.uniform_grid(1.0, 4), solver.uniform_grid(1.0, 4)
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_interval_index():
     grid = solver.uniform_grid(1.0, 4)
     assert grid.interval_index(0.0) == 1

@@ -113,30 +113,115 @@ def test_commuting_diagram_single_field():
 
 
 def test_broken_grad():
-    # u = x on each cell: local coefficients from projection; P0 has no slope
-    for l, slope in ((0, 0.0), (1, 1.0)):
+    # u = x + 2 y on each cell: local coefficients from projection; P0 has no slope
+    for l, slope in ((0, (0.0, 0.0)), (1, (1.0, 2.0))):
         space = sp.MixedSpace(unit_square_mesh(2), l)
-        p = sp.l2_project_scalar(space, lambda x, y: x)
+        p = sp.l2_project_scalar(space, lambda x, y: x + 2 * y)
         ops = assemble_system(space).estimator_ops
         sqrt_w = np.sqrt(space.quad_weights)
         g = (ops.grad_u @ p).reshape(space.quad_points.shape)
-        assert np.abs(g[..., 0] - slope * sqrt_w).max() < 1e-12
-        assert np.abs(g[..., 1]).max() < 1e-12
+        for d in range(2):
+            assert np.abs(g[..., d] - slope[d] * sqrt_w).max() < 1e-12
+
+
+def _central_differences(evaluate, cells, pts, e=1e-4):
+    """(d/dx, d/dy) of evaluate(cells, pts) on the last axis; exact up to
+    rounding for the quadratic bases."""
+    steps = e * np.eye(2)
+    return np.stack(
+        [(evaluate(cells, pts + d) - evaluate(cells, pts - d)) / (2 * e) for d in steps], -1
+    )
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_div_basis_matches_central_differences(l):
+    space = sp.MixedSpace(_jittered_mesh(3, 5), l)
+    cells, pts = np.arange(space.mesh.num_cells), space.quad_points
+    div = space.eval_div_basis(cells, pts)
+    fd = _central_differences(space.eval_stress_basis, cells, pts)  # (..., k, c, d)
+    np.testing.assert_allclose(
+        div, fd[..., 0, 0] + fd[..., 1, 1], rtol=0, atol=1e-8 * np.abs(div).max()
+    )
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_disp_grad_basis_matches_central_differences(l):
+    space = sp.MixedSpace(_jittered_mesh(3, 5), l)
+    cells, pts = np.arange(space.mesh.num_cells), space.quad_points
+    grad = space.eval_disp_grad_basis(cells, pts)
+    assert grad.shape == pts.shape[:2] + (space.n_loc_disp, 2)
+    fd = _central_differences(space.eval_disp_basis, cells, pts)
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-7)
+    assert (np.abs(grad).max() > 0.0) == (l == 1)  # P0 gradients are exactly zero
+
+
+def _collapsed_rule(mesh, m=6):
+    """Collapsed m x m Gauss-Legendre rule on every cell, exact to degree 2 m - 2:
+    the reference point (u (1 - v), v) has weight w_u w_v (1 - v)."""
+    g, wg = np.polynomial.legendre.leggauss(m)
+    g, wg = 0.5 * (g + 1.0), 0.5 * wg
+    u, v = np.repeat(g, m), np.tile(g, m)
+    w = np.repeat(wg, m) * np.tile(wg, m) * (1.0 - v)
+    p = mesh.vertices[mesh.cells]  # (T, 3, 2)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    pts = p[:, None, 0] + (u * (1.0 - v))[:, None] * e1[:, None] + v[:, None] * e2[:, None]
+    return pts, det[:, None] * w
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_nodal_basis_is_dual_to_the_degrees_of_freedom(l):
+    # every degree of freedom of a cell, taken with rules of the test's
+    # own, is 1 on the basis function of its index and 0 on the others
+    mesh = _jittered_mesh(3, 7)
+    space = sp.MixedSpace(mesh, l)
+    cells = np.arange(mesh.num_cells)
+    g, wg = np.polynomial.legendre.leggauss(12)
+    xi, wxi = 0.5 * (g + 1.0), 0.5 * wg
+    rows = []
+    for j in range(3):  # local edge slot, in the canonical edge direction
+        a, b = (mesh.vertices[mesh.edges[mesh.cell_edges[:, j], i]] for i in (0, 1))
+        length = np.linalg.norm(b - a, axis=1)
+        normal = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1) / length[:, None]
+        pts = a[:, None] + xi[:, None] * (b - a)[:, None]
+        vn = np.einsum("tqkc,tc->tqk", space.eval_stress_basis(cells, pts), normal)
+        for test in (np.ones_like(xi), 2.0 * xi - 1.0)[: l + 1]:
+            rows.append(length[:, None] * np.einsum("q,tqk->tk", wxi * test, vn))
+    if l == 1:
+        pts, w = _collapsed_rule(mesh)
+        rows.extend(np.einsum("tq,tqkc->ctk", w, space.eval_stress_basis(cells, pts)))
+    dofs = np.stack(rows, axis=1)  # (T, functional, basis function)
+    assert dofs.shape == (mesh.num_cells, space.n_loc_stress, space.n_loc_stress)
+    eye = np.broadcast_to(np.eye(space.n_loc_stress), dofs.shape)
+    np.testing.assert_allclose(dofs, eye, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_dof_maps_follow_the_layout(l):
+    # a cell lists l + 1 dofs on each of its edges, by local edge, then its
+    # l (l + 1) own dofs, numbered after all edge dofs
+    mesh = _jittered_mesh(3, 7)
+    space = sp.MixedSpace(mesh, l)
+    T, E, ne = mesh.num_cells, mesh.num_edges, space.n_loc_edge
+    assert len(space.stress_dof_entity) == space.n_stress
+    entity = space.stress_dof_entity[space.cell_stress_dofs]
+    np.testing.assert_array_equal(entity[:, :ne], np.repeat(mesh.cell_edges, l + 1, axis=1))
+    assert entity.shape == (T, ne + l * (l + 1))
+    assert np.all(entity[:, ne:] == E + np.arange(T)[:, None])
+    own = np.sort(space.cell_stress_dofs[:, ne:], axis=None)
+    np.testing.assert_array_equal(own, np.arange((l + 1) * E, space.n_stress))
+    np.testing.assert_array_equal(space.cell_disp_dofs.ravel(), np.arange(space.n_disp))
 
 
 @pytest.mark.parametrize("l", [0, 1])
 def test_stress_grad_basis_matches_central_differences(l):
-    # the basis is quadratic at most, so central differences are exact
-    # up to rounding; an empty cell set keeps its shape
+    # an empty cell set keeps its shape
     space = sp.MixedSpace(_jittered_mesh(3, 5), l)
     cells, pts = np.arange(space.mesh.num_cells), space.quad_points
     grad = space.eval_stress_grad_basis(cells, pts)
     assert grad.shape == pts.shape[:2] + (space.n_loc_stress, 2, 2)
-    e = 1e-4
-    for d in range(2):
-        step = e * np.eye(2)[d]
-        fd = space.eval_stress_basis(cells, pts + step) - space.eval_stress_basis(cells, pts - step)
-        np.testing.assert_allclose(grad[..., d], fd / (2 * e), rtol=0, atol=1e-8 * np.abs(grad).max())
+    fd = _central_differences(space.eval_stress_basis, cells, pts)
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8 * np.abs(grad).max())
     empty = space.eval_stress_grad_basis(cells[:0], pts[:0])
     assert empty.shape == (0,) + grad.shape[1:]
 
