@@ -35,22 +35,30 @@ def _closed_form(expr):
     every factor, the g_i at the shape of x and y and the h_i at the
     shape of t, so the spatial work is done once per call however many
     times it carries; only the products g_i h_i have the broadcast shape.
+
+    closed_form.at(x, y) fixes a point set: it evaluates the g_i there
+    once and returns a function of 1-d times t giving the values point
+    major, shape (x's shape) + matrix axes + (len(t),), as one product
+    G H(t) with the h_i taken at the first point.  An expression with a
+    whole term has no such split; its function makes the full call.
     """
     if isinstance(expr, sym.MatrixBase):
         axes = (expr.rows,) if expr.cols == 1 else expr.shape
     else:
         axes, expr = (), sym.Matrix([expr])
     pairs = []  # per entry, its (g_i, h_i) factor pairs
+    whole = False
     for entry in expr:
         groups = {}
         for term in sym.Add.make_args(entry):
             g, h = term.as_independent(_T, as_Add=False)
             if h.has(_X, _Y):
-                g, h = sym.S.One, term
+                g, h, whole = sym.S.One, term, True
             groups.setdefault(h, []).append(g)
         pairs.append([(sym.Add(*gs), h) for h, gs in groups.items()])
     flat = [factor for entry in pairs for pair in entry for factor in pair]
     fn = sym.lambdify((_X, _Y, _T), flat, modules="numpy", cse=True)
+    owner = [i for i, entry in enumerate(pairs) for _ in entry]
 
     def closed_form(x, y, t):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
@@ -62,6 +70,27 @@ def _closed_form(expr):
                 out[..., i] += next(factors) * next(factors)
         return out.reshape(shape + axes)
 
+    def at(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        if whole:
+            return lambda t: np.moveaxis(
+                closed_form(x[..., None], y[..., None], t), len(shape), -1
+            )
+        # the g_i do not depend on t; t = 0 is a time every run evaluates
+        G = np.zeros(shape + (len(pairs), len(owner)))
+        for k, (i, g) in enumerate(zip(owner, fn(x, y, 0.0)[::2])):
+            G[..., i, k] = g
+        G = G.reshape(-1, len(owner))
+        x0, y0 = x.flat[0], y.flat[0]
+
+        def values(t):
+            H = np.array([np.broadcast_to(h, np.shape(t)) for h in fn(x0, y0, t)[1::2]])
+            return (G @ H).reshape(shape + axes + (len(t),))
+
+        return values
+
+    closed_form.at = at
     return closed_form
 
 

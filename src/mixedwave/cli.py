@@ -41,7 +41,7 @@ _DEFAULTS = {
     "command": None,
     "problem": None,
     "mesh_n": 8,
-    "mesh_files": None,  # "node.path,ele.path"
+    "mesh_files": None,  # (node path, ele path); "NODE,ELE" in a config file
     "rt_index": 0,
     "steps": 20,
     "T": 0.5,
@@ -64,6 +64,13 @@ _CHOICES = {
 
 def _coerce(key, raw):
     val = raw
+    if key == "mesh_files":
+        # the flag gives the pair, a config file one "NODE,ELE" string
+        val = tuple(p.strip() for p in raw.split(",")) if isinstance(raw, str) else tuple(raw)
+        if len(val) != 2 or not all(val):
+            raise TypeMismatchError(
+                "key 'mesh_files' expects two non-empty paths NODE,ELE, got {!r}".format(raw)
+            )
     if key in _TYPES:
         try:
             val = _TYPES[key](raw)
@@ -115,8 +122,6 @@ def parse_config(argv):
     for key in _DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
-            if key == "mesh_files":
-                flag = ",".join(flag)
             cfg[key] = _coerce(key, flag)
 
     if cfg["command"] is None:
@@ -130,7 +135,7 @@ def parse_config(argv):
     if cfg["T"] <= 0.0:
         raise TypeMismatchError("key 'T' must be positive")
     if cfg["mesh_files"] is not None:
-        for p in cfg["mesh_files"].split(","):
+        for p in cfg["mesh_files"]:
             if not os.path.exists(p):
                 raise MissingRequiredError("mesh file '{}' not found".format(p))
     try:
@@ -145,7 +150,8 @@ def parse_config(argv):
 
 
 def _write_resolved(cfg, outdir):
-    text = "".join("{} = {}\n".format(key, cfg[key]) for key in sorted(_DEFAULTS))
+    value = lambda v: ",".join(v) if isinstance(v, tuple) else v
+    text = "".join("{} = {}\n".format(key, value(cfg[key])) for key in sorted(_DEFAULTS))
     with open(os.path.join(outdir, "resolved_config.txt"), "w") as fh:
         fh.write(text)
     return text
@@ -182,7 +188,7 @@ def _build_space(cfg):
     from .spaces import MixedSpace
 
     if cfg["mesh_files"] is not None:
-        node, ele = cfg["mesh_files"].split(",")
+        node, ele = cfg["mesh_files"]
         try:
             mesh = read_mesh(node, ele)
         except (MeshError, OSError) as exc:

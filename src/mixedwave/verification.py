@@ -7,13 +7,15 @@ re-checked numerically at registration.  The derived f and div sigma
 are lambdified as differentiated, without expansion or simplification.
 Every closed form is evaluated as a separated sum sum_i g_i(x, y) h_i(t)
 of its terms (assembly._closed_form): a call with many times, such as
-a step's five Gauss times or a block of true-error nodes, computes the
-spatial factors once, and only the products g_i h_i take the full
-broadcast shape.  True errors are evaluated in blocks of nodes, each
-block one call per closed form, sized so that every temporary stays
-under 1 MiB.  Convergence studies couple the step size to the mesh
-(spatial) or fix the mesh and halve the step against a fine reference
-(temporal).
+a step's five Gauss times, computes the spatial factors once, and only
+the products g_i h_i take the full broadcast shape.  True errors fix the
+cell quadrature once per closed form and call (closed_form.at): the g_i
+are evaluated there once, and each block of nodes, sized so that every
+temporary stays under 1 MiB, takes its values as one product of them
+with the h_i at its times (an expression with a term that does not
+split makes the full call per block).  Convergence studies couple the
+step size to the mesh (spatial) or fix the mesh and halve the step
+against a fine reference (temporal).
 """
 
 from dataclasses import dataclass, field
@@ -42,11 +44,13 @@ class ManufacturedProblem:
     """Closed-form exact solution of u_tt - div(A grad u) = f.
 
     All callables take (x, y, t) arrays that broadcast against each other
-    (the solver passes a step's five Gauss times as t of shape (5, 1, 1),
-    true_error a block of nodes as t of shape (m, 1, 1)); sigma returns
-    the broadcast shape + (2,) and A is a Coefficient.  Each callable
-    evaluates its expression as a separated sum sum_i g_i(x, y) h_i(t),
-    the spatial factors once per call whatever the number of times.  f
+    (the solver passes a step's five Gauss times as t of shape (5, 1, 1));
+    sigma returns the broadcast shape + (2,) and A is a Coefficient.  Each
+    callable evaluates its expression as a separated sum
+    sum_i g_i(x, y) h_i(t), the spatial factors once per call whatever the
+    number of times, and u, u_t and sigma are also read point major
+    through closed_form.at, which true_error and initial_errors call once
+    per closed form, with the spatial factors evaluated once per run.  f
     and div_sigma evaluate the unsimplified derived expressions.  f is
     None when the derived sum u_tt + div sigma cancels term by term (no
     simplification is tried).
@@ -152,65 +156,65 @@ PROBLEMS = {
 # true errors
 # ----------------------------------------------------------------------
 
-# Nodes per true-error evaluation block come from this budget of
-# quadrature points: the (nodes, T, nq, 2) stress stack of a block, the
-# largest temporary, stays at 512 KiB or less, under 1 MiB, so the
-# allocator reuses freed heap blocks instead of mapping zeroed pages.
+# Nodes per true-error block come from this budget of quadrature points:
+# the (T nq 2, nodes) stress differences of a block, the largest
+# temporary, stay at 512 KiB or less, under 1 MiB, so the allocator
+# reuses freed heap blocks instead of mapping zeroed pages.
 _BLOCK_POINTS = 1 << 15
 
 
-def _disp_error(space, rows, exact, t):
-    """||U - exact(t)|| for displacement rows U (..., n_disp) at times t (...)."""
-    pts = space.quad_points
-    d = space.disp_values(rows)
-    d -= exact(pts[..., 0], pts[..., 1], np.asarray(t, dtype=float)[..., None, None])
-    return np.sqrt(np.einsum("tq,...tq->...", space.quad_weights, d * d))
+def _errors(space, rows, exact, times, alpha=None):
+    """Quadrature norms ||R^n - exact(t_n)|| of rows R (m, n) at times (m,).
 
-
-def _stress_error(space, alpha, rows, exact, t):
-    """||Sigma - exact(t)||_{A^-1} for stress rows Sigma (..., n_stress) at times t (...).
-
-    The pointwise quadratic form d^T alpha d is written out for 2 x 2 alpha.
+    Displacement rows when alpha is None, else stress rows in the alpha
+    norm.  The spatial factors of exact are evaluated once (exact.at);
+    each block of nodes takes the values map @ rows.T point major, shaped
+    (points, nodes), subtracts exact in place and sums the squares as
+    weighted matrix-vector products, with alpha's three distinct entries
+    for the stress.
     """
     pts = space.quad_points
-    d = space.stress_values(rows)
-    d -= exact(pts[..., 0], pts[..., 1], np.asarray(t, dtype=float)[..., None, None])
-    d0, d1 = d[..., 0], d[..., 1]
-    form = (
-        alpha[..., 0, 0] * d0 * d0
-        + (alpha[..., 0, 1] + alpha[..., 1, 0]) * d0 * d1
-        + alpha[..., 1, 1] * d1 * d1
-    )
-    return np.sqrt(np.einsum("tq,...tq->...", space.quad_weights, form))
+    w = space.quad_weights.ravel()
+    if alpha is None:
+        quad_map, forms = space.disp_quad_map, [(w, 0, 0)]
+    else:
+        a = alpha.reshape(-1, 2, 2)
+        quad_map = space.stress_quad_map
+        forms = [(w * a[:, 0, 0], 0, 0), (2.0 * w * a[:, 0, 1], 0, 1), (w * a[:, 1, 1], 1, 1)]
+    values = exact.at(pts[..., 0], pts[..., 1])
+    block = max(1, _BLOCK_POINTS // w.size)
+    sq = np.zeros(len(times))
+    for start in range(0, len(times), block):
+        b = slice(start, start + block)
+        d = quad_map @ rows[b].T
+        d -= values(times[b]).reshape(d.shape)
+        d = d.reshape(w.size, -1, d.shape[-1])
+        for wk, i, j in forms:
+            sq[b] += wk @ (d[:, i] * d[:, j])
+    return np.sqrt(sq)
 
 
 def true_error(traj, problem):
     """Per-node errors ||U^n - u(t_n)|| and ||Sigma^n - sigma(t_n)||_{A^-1}.
 
-    The stress norm is weighted by the run's own alpha (traj.system.alpha).
-    u and sigma are evaluated for a block of nodes per call, their times
-    broadcast against the points, with as many nodes per block as
-    _BLOCK_POINTS allows.
+    The stress norm is weighted by the run's own alpha (traj.system.alpha);
+    u and sigma are evaluated as in _errors, their spatial factors once
+    per call, in blocks of as many nodes as _BLOCK_POINTS allows.
     """
-    space, alpha = traj.space, traj.system.alpha
     nodes = traj.grid.nodes
-    block = max(1, _BLOCK_POINTS // space.quad_weights.size)
-    err_u = np.empty(len(nodes))
-    err_s = np.empty(len(nodes))
-    for start in range(0, len(nodes), block):
-        b = slice(start, start + block)
-        err_u[b] = _disp_error(space, traj.U[b], problem.u, nodes[b])
-        err_s[b] = _stress_error(space, alpha, traj.Sigma[b], problem.sigma, nodes[b])
-    return err_u, err_s
+    return (
+        _errors(traj.space, traj.U, problem.u, nodes),
+        _errors(traj.space, traj.Sigma, problem.sigma, nodes, traj.system.alpha),
+    )
 
 
 def initial_errors(traj, problem):
     """(||e_u(0)||, ||e_{u,t}(0)||, ||e_sigma(0)||_{A^-1}), as in true_error."""
-    space, alpha = traj.space, traj.system.alpha
+    space, t0 = traj.space, traj.grid.nodes[:1]
     return (
-        float(_disp_error(space, traj.U[0], problem.u, 0.0)),
-        float(_disp_error(space, traj.dtU[0], problem.u_t, 0.0)),
-        float(_stress_error(space, alpha, traj.Sigma[0], problem.sigma, 0.0)),
+        float(_errors(space, traj.U[:1], problem.u, t0)[0]),
+        float(_errors(space, traj.dtU[:1], problem.u_t, t0)[0]),
+        float(_errors(space, traj.Sigma[:1], problem.sigma, t0, traj.system.alpha)[0]),
     )
 
 

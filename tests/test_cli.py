@@ -266,3 +266,38 @@ def test_unreadable_mesh_file_is_a_config_error(tmp_path, capsys, token):
     err = capsys.readouterr().err
     assert err.startswith("config-error:")
     assert ("b.ele, line 3" if token else "b.ele") in err
+
+
+def _square_mesh_files(tmp_path, node_name):
+    node, ele = tmp_path / node_name, tmp_path / "b.ele"
+    node.write_text("4 2\n0 0\n1 0\n1 1\n0 1\n")
+    ele.write_text("2 3\n0 1 2\n0 2 3\n")
+    return str(node), str(ele)
+
+
+def test_mesh_files_flag_keeps_a_comma_in_a_path(tmp_path):
+    node, ele = _square_mesh_files(tmp_path, "a,1.node")
+    out = tmp_path / "o"
+    cfg = cli.parse_config(["solve", "--problem", "standing-wave", "--mesh-files", node, ele])
+    assert cfg["mesh_files"] == (node, ele)
+    rc = cli.main(
+        ["solve", "--problem", "standing-wave", "--mesh-files", node, ele,
+         "--steps", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    assert (out / "trajectory" / "state_2.bin").exists()
+
+
+def test_config_mesh_files_splits_into_a_pair(tmp_path):
+    node, ele = _square_mesh_files(tmp_path, "a.node")
+    conf = tmp_path / "run.conf"
+    conf.write_text("problem = standing-wave\nmesh_files = {} , {}\n".format(node, ele))
+    assert cli.parse_config(["solve", "--config", str(conf)])["mesh_files"] == (node, ele)
+
+
+@pytest.mark.parametrize("value", ["a.node", "a.node,", ",b.ele", "a,1.node,b.ele"])
+def test_config_mesh_files_needs_exactly_two_paths(tmp_path, value):
+    conf = tmp_path / "run.conf"
+    conf.write_text("mesh_files = {}\n".format(value))
+    with pytest.raises(cli.ConfigError, match="NODE,ELE"):
+        cli.read_config_file(str(conf))

@@ -180,8 +180,8 @@ def test_stress_error_matches_dense_form_for_full_coefficient():
     space = MixedSpace(unit_square_mesh(4), 1)
     alpha = A.alpha_at(space.quad_points)
     coeffs = np.random.default_rng(6).standard_normal(space.n_stress)
-    exact = lambda x, y, t: np.stack([np.sin(x + t), x * y], axis=-1)
-    got = ver._stress_error(space, alpha, coeffs, exact, 0.3)
+    exact = _closed_form(sym.Matrix([sym.sin(ver._X + ver._T), ver._X * ver._Y]))
+    got = ver._errors(space, coeffs[None], exact, np.array([0.3]), alpha)[0]
 
     pts = space.quad_points
     d = space.stress_values(coeffs) - exact(pts[..., 0], pts[..., 1], 0.3)
@@ -285,20 +285,73 @@ def test_separated_closed_forms_match_unseparated_lambdify(monkeypatch):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def test_true_error_blocks_match_a_per_node_loop():
-    p = ver.manufactured("full", ver._MODE * sym.cos(sym.sqrt(2) * sym.pi * ver._T), _FULL)
-    traj = ver.solve_problem(p, 8, 39, T=0.2, rt_index=1)
-    nodes = traj.grid.nodes
-    block = ver._BLOCK_POINTS // traj.space.quad_weights.size
-    assert 1 < block < len(nodes) and len(nodes) % block != 0
-    err_u, err_s = ver.true_error(traj, p)
-
+def _per_node_errors(traj, p):
+    """(||U^n - u(t_n)||, ||Sigma^n - sigma(t_n)||_{A^-1}) node by node, dense."""
     space, alpha, w = traj.space, traj.system.alpha, traj.space.quad_weights
     x, y = space.quad_points[..., 0], space.quad_points[..., 1]
-    for n, t in enumerate(nodes):
+    want_u, want_s = [], []
+    for n, t in enumerate(traj.grid.nodes):
         du = space.disp_values(traj.U[n]) - p.u(x, y, t)
         ds = space.stress_values(traj.Sigma[n]) - p.sigma(x, y, t)
-        want_u = np.sqrt(np.einsum("tq,tq->", w, du * du))
-        want_s = np.sqrt(np.einsum("tq,tqcd,tqc,tqd->", w, alpha, ds, ds))
-        np.testing.assert_allclose(err_u[n], want_u, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(err_s[n], want_s, rtol=1e-13, atol=0.0)
+        want_u.append(np.sqrt(np.einsum("tq,tq->", w, du * du)))
+        want_s.append(np.sqrt(np.einsum("tq,tqcd,tqc,tqd->", w, alpha, ds, ds)))
+    return np.array(want_u), np.array(want_s)
+
+
+# sigma of this u holds x t inside a factor: no term splits into g(x, y) h(t)
+_WHOLE = ver._MODE * (sym.cos(sym.sqrt(2) * sym.pi * ver._T) + sym.sin(ver._X * ver._T))
+
+
+def _assert_blocks_match_a_per_node_loop(u):
+    p = ver.manufactured("full", u, _FULL)
+    traj = ver.solve_problem(p, 8, 39, T=0.2, rt_index=1)
+    block = ver._BLOCK_POINTS // traj.space.quad_weights.size
+    assert 1 < block < len(traj.grid.nodes) and len(traj.grid.nodes) % block != 0
+    err_u, err_s = ver.true_error(traj, p)
+    want_u, want_s = _per_node_errors(traj, p)
+    np.testing.assert_allclose(err_u, want_u, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(err_s, want_s, rtol=1e-13, atol=0.0)
+
+
+def test_true_error_blocks_match_a_per_node_loop():
+    _assert_blocks_match_a_per_node_loop(ver._MODE * sym.cos(sym.sqrt(2) * sym.pi * ver._T))
+
+
+def test_whole_term_true_error_blocks_match_a_per_node_loop():
+    _assert_blocks_match_a_per_node_loop(_WHOLE)
+
+
+def test_initial_errors_are_true_error_at_node_zero():
+    p = ver.manufactured("full", ver._MODE * sym.cos(sym.sqrt(2) * sym.pi * ver._T), _FULL)
+    traj = ver.solve_problem(p, 8, 39, T=0.2, rt_index=1)
+    err_u, err_s = ver.true_error(traj, p)
+    e0 = ver.initial_errors(traj, p)
+    np.testing.assert_allclose([e0[0], e0[2]], [err_u[0], err_s[0]], rtol=1e-15, atol=0.0)
+    space, w = traj.space, traj.space.quad_weights
+    pts = space.quad_points
+    d = space.disp_values(traj.dtU[0]) - p.u_t(pts[..., 0], pts[..., 1], 0.0)
+    np.testing.assert_allclose(e0[1], np.sqrt(np.einsum("tq,tq->", w, d * d)), rtol=1e-13)
+
+
+@pytest.mark.parametrize("u, whole", [(ver._MODE * sym.cos(20 * ver._T), False), (_WHOLE, True)],
+                         ids=["separated", "whole-term"])
+def test_true_error_evaluates_spatial_factors_once_per_closed_form(monkeypatch, u, whole):
+    # lambdified calls at the full quadrature: one each for u and sigma
+    # whatever the number of node blocks, unless a whole term forces the
+    # full call per block
+    shapes = []
+    lambdify = sym.lambdify
+
+    def counting(*args, **kwargs):
+        fn = lambdify(*args, **kwargs)
+        return lambda x, y, t: shapes.append(np.shape(x)) or fn(x, y, t)
+
+    monkeypatch.setattr(sym, "lambdify", counting)
+    p = ver.manufactured("counted", u)
+    traj = ver.solve_problem(p, 8, 39, T=0.2, rt_index=1)
+    blocks = -(-len(traj.grid.nodes) // (ver._BLOCK_POINTS // traj.space.quad_weights.size))
+    assert blocks > 1
+    shapes.clear()
+    ver.true_error(traj, p)
+    full = sum(np.prod(s) == traj.space.quad_weights.size for s in shapes)
+    assert full == (2 * blocks if whole else 2)
