@@ -283,6 +283,11 @@ def test_separated_closed_forms_match_unseparated_lambdify(monkeypatch):
             got = fn(x, y, t)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # the same values point major from a fixed point set, times last
+        want = np.moveaxis(_unseparated(expr, *grid), 0, -1)
+        got = fn.at(grid[0], grid[1])(grid[2].ravel())
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def _per_node_errors(traj, p):
