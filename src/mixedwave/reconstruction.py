@@ -70,10 +70,9 @@ def c1_build(grid, node_values, initial_rate):
         )
     R = np.empty_like(V)
     R[0] = np.asarray(initial_rate, dtype=float)
-    k = grid.steps
-    R[1:] = np.diff(V, axis=0) / k[:, None]
+    R[1:] = grid.backward_difference(V)
     S = np.zeros_like(V)
-    S[1:] = np.diff(R, axis=0) / k[:, None]
+    S[1:] = grid.backward_difference(R)
     return C1Interpolant(grid=grid, values=V, rates=R, seconds=S)
 
 
@@ -83,8 +82,8 @@ def c1_eval(interp, t):
     if t < 0.0 or t > grid.final_time + 1e-14:
         raise OutOfDomainError("time {} outside [0, T]".format(t))
     n = grid.interval_index(t)
-    t0, t1 = grid.nodes[n - 1], grid.nodes[n]
-    k = t1 - t0
+    t0, t1 = grid.interval(n)
+    k = grid.steps[n - 1]
     V, R, S = interp.values[n], interp.rates[n], interp.seconds[n]
     back, fwd = t - t0, t1 - t
     value = V + (t - t1) * R - (back * fwd ** 2 / k) * S

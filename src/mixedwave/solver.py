@@ -8,7 +8,10 @@ dU^0 = P_h u1 and U^0 = P_h u0; the initial stress Sigma^0 solves
 equation hold at n = 0 as well.
 
 A step and the elliptic reconstruction solve one mixed system, of
-weight 1 / k_n^2 and 0, with one hybridized factor (_Condensed).
+weight 1 / k_n^2 and 0, with one hybridized factor (_Condensed) per
+weight.  TimeGrid decides the step sizes k_n: steps that differ only by
+the rounding of their nodes get one k_n, and so one weight and one
+factor.
 """
 
 import os
@@ -45,23 +48,59 @@ class GridError(SolverError):
     pass
 
 
+# Steps t_n - t_{n-1} that agree to this relative tolerance are one step
+# size.  Float nodes carry a rounding error of about eps |t_n|, so the
+# steps of one nominal size k spread by up to about (T / k) eps relative:
+# np.linspace grids of N steps spread by under N eps (5.5e-13 for
+# N <= 3000), which keeps them within 1e-9 up to about 4.5e6 steps.
+# Sizes a grid means to differ (a graded grid's steps are apart by a
+# factor, not by 1e-9) stay apart.
+_STEP_RTOL = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing finite time nodes t_0 = 0 < ... < t_N = T and
-    the steps k_n = t_n - t_{n-1}, n >= 1, both read-only, computed once.
-    Grids compare and hash by identity."""
+    the step sizes k_n of the scheme, all read-only and fixed at
+    construction.
+
+    The grid decides which steps are the same step: the differences
+    t_n - t_{n-1} are grouped, each group spanning at most _STEP_RTOL
+    relative from its smallest member, and each group takes the value of
+    its first step.  sizes holds these distinct sizes, ascending;
+    size_index[n - 1] is the entry of sizes that step n takes, and
+    steps[n - 1] = sizes[size_index[n - 1]] is the k_n every reader uses:
+    the time stepping (one factor per size), its residual check, the
+    estimators, the reconstructions and save_trajectory.  The nodes are
+    kept as given.  Grids compare and hash by identity.
+    """
 
     nodes: np.ndarray
+    sizes: np.ndarray = field(init=False, repr=False)
+    size_index: np.ndarray = field(init=False, repr=False)
     steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.array(self.nodes, dtype=float)
-        k = np.diff(t)
-        if len(t) < 2 or t[0] != 0.0 or not np.all(k > 0.0):
+        d = np.diff(t)
+        if len(t) < 2 or t[0] != 0.0 or not np.all(d > 0.0):
             raise GridError("time nodes must start at 0 and strictly increase")
         if not np.isfinite(t[-1]):
             raise GridError("time nodes must be finite")
-        for name, a in (("nodes", t), ("steps", k)):
+        # groups in ascending order, each from its smallest step up
+        order = np.argsort(d)
+        ascending = d[order]
+        index = np.empty(len(d), dtype=int)
+        first = []
+        start = 0
+        while start < len(d):
+            stop = int(np.searchsorted(ascending, ascending[start] * (1.0 + _STEP_RTOL), "right"))
+            index[order[start:stop]] = len(first)
+            first.append(order[start:stop].min())
+            start = stop
+        sizes = d[first]
+        arrays = {"nodes": t, "sizes": sizes, "size_index": index, "steps": sizes[index]}
+        for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -84,8 +123,14 @@ class TimeGrid:
         """(t_{n-1}, t_n) of step n; node 0 is the empty step (0, 0)."""
         return self.nodes[max(n - 1, 0)], self.nodes[n]
 
+    def backward_difference(self, rows):
+        """(rows[n] - rows[n - 1]) / k_n for n = 1, ..., N: one row per step,
+        from the (N + 1, m) node rows `rows`."""
+        return np.diff(rows, axis=0) / self.steps[:, None]
+
 
 def uniform_grid(T, N):
+    """N steps of the one size k = T / N: nodes n k, with t_N = T."""
     return TimeGrid(np.linspace(0.0, T, N + 1))
 
 
@@ -132,7 +177,7 @@ class Trajectory:
         """
         d2 = np.empty_like(self.dtU)
         d2[0] = initial_acceleration(self)
-        d2[1:] = np.diff(self.dtU, axis=0) / self.grid.steps[:, None]
+        d2[1:] = self.grid.backward_difference(self.dtU)
         return d2
 
     def energy(self, n):
@@ -183,12 +228,11 @@ class _Condensed:
 
 
 def _condense(system, c):
-    """The _Condensed form of `system` for weight c, built on first use and kept."""
-    # Steps that differ only by rounding (np.linspace nodes give several
-    # float values for one nominal step) share one factorization.
-    key = float("%.12g" % c)
-    if key in system._factor_cache:
-        return system._factor_cache[key]
+    """The _Condensed form of `system` for weight c, built on first use and
+    kept in system._factor_cache under c itself.  The steps of one size
+    share it because TimeGrid gives them one k_n, and so one c = 1 / k_n^2."""
+    if c in system._factor_cache:
+        return system._factor_cache[c]
     space = system.space
     mesh = space.mesh
     T, nl, nd = mesh.num_cells, space.n_loc_stress, space.n_loc_disp
@@ -226,13 +270,13 @@ def _condense(system, c):
     owner = np.empty(space.n_stress + n_d, dtype=int)
     owner[space.cell_stress_dofs] = local + np.arange(nl)
     owner[space.n_stress + disp] = local + np.arange(nl, nl + nd)
-    system._factor_cache[key] = _Condensed(
+    system._factor_cache[c] = _Condensed(
         lu=lu,
         rhs_map=_scatter(sign[:, :, None] * Linv[:, :ne, nl:], slot, disp, (n, n_d))[1:],
         lam_map=_cell_rows(-sign[:, None, :] * Linv[:, :, :ne], slot, n)[owner][:, 1:],
         load_map=_cell_rows(Linv[:, :, nl:], disp, n_d)[owner],
     )
-    return system._factor_cache[key]
+    return system._factor_cache[c]
 
 
 # entries of the largest per-block temporary, (n_stress + n_disp, block
@@ -417,7 +461,9 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
     products and one triangular solve: its load g = f_bar^n + M_u (U^{n-1}
     + k_n dtU^{n-1}) / k_n^2, the multipliers from the factor of weight
     1 / k_n^2 (non-finite ones raise SingularSystemError) and the recovery
-    of (Sigma^n, U^n).  _check_steps checks all steps after the loop.
+    of (Sigma^n, U^n).  There is one factor per entry of grid.sizes, and
+    step n takes the one grid.size_index gives it.  _check_steps checks
+    all steps after the loop.
     """
     _check_forcing_mode(forcing_mode)
     space = system.space
@@ -444,11 +490,10 @@ def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
                 defect[n] = step_defect(space, grid.steps[n - 1], fbar_quad[n], samples)
         f_bar = load_of_values(space, fbar_quad)
     n_s, M_u = space.n_stress, system.M_u
-    # in step order, so the first step of each nominal size builds its factor
-    factors = {k: _condense(system, 1.0 / k ** 2) for k in dict.fromkeys(grid.steps)}
+    factors = [_condense(system, 1.0 / k ** 2) for k in grid.sizes]
     for n in range(1, N + 1):
         k = grid.steps[n - 1]
-        cond = factors[k]
+        cond = factors[grid.size_index[n - 1]]
         g = f_bar[n] + M_u @ (U[n - 1] + k * dtU[n - 1]) / k ** 2
         lam = cond.lu.solve(cond.rhs_map @ g)
         if not np.isfinite(lam).all():
@@ -502,8 +547,7 @@ def save_trajectory(traj, directory):
     """
     os.makedirs(directory, exist_ok=True)
     rows = ["n,t_n,k_n\n"]
-    for n, t in enumerate(traj.grid.nodes):
-        k = 0.0 if n == 0 else traj.grid.steps[n - 1]
+    for n, (t, k) in enumerate(zip(traj.grid.nodes, np.r_[0.0, traj.grid.steps])):
         rows.append("{},{:.17g},{:.17g}\n".format(n, t, k))
     _write_replacing(os.path.join(directory, "grid.csv"), "".join(rows).encode())
     nd, ns = traj.space.n_disp, traj.space.n_stress
@@ -543,8 +587,9 @@ def load_states(directory):
     """Read back (nodes, U, Sigma, dtU) written by save_trajectory.
 
     Raises SolverError when grid.csv cannot be parsed, or a row's n is
-    not its index or its k_n not the step t_n - t_{n-1} (naming the
-    line), or its nodes fail TimeGrid's check; when the state files are
+    not its index or its k_n not within TimeGrid's tolerance of the step
+    k_n that TimeGrid gives its nodes (0 on row 0), naming the line, or
+    its nodes fail TimeGrid's check; when the state files are
     not exactly state_0.bin ... state_N.bin for its N + 1 rows; when a
     state file is truncated, carries trailing bytes, or disagrees with
     the first file on the block sizes.
@@ -567,13 +612,13 @@ def load_states(directory):
         nodes.append(t)
         steps.append(k)
     try:
-        nodes = TimeGrid(nodes).nodes
+        grid = TimeGrid(nodes)
     except GridError as exc:
         raise GridError("{}: {}".format(path, exc)) from None
-    for n, k in enumerate(steps):
-        step = nodes[n] - nodes[n - 1] if n else 0.0
-        if abs(k - step) > 1e-12 * abs(nodes[n]):
-            raise SolverError("{} line {}: k_n is {!r}, but t_n - t_(n-1) is {!r}".format(
+    nodes = grid.nodes
+    for n, (k, step) in enumerate(zip(steps, np.r_[0.0, grid.steps])):
+        if abs(k - step) > _STEP_RTOL * step:
+            raise SolverError("{} line {}: k_n is {!r}, but the grid's step is {!r}".format(
                 path, n + 2, k, step))
     expected = {"state_{}.bin".format(n) for n in range(len(nodes))}
     extra = sorted(

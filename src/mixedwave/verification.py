@@ -305,7 +305,7 @@ def run_spatial_study(
             calibration = est.calibrate_scales(rep)
         cal = est.calibrated(rep, calibration)
         hs.append(h)
-        ks.append(T / N)
+        ks.append(traj.grid.steps.max())
         mu, ms = int(np.argmax(err_u)), int(np.argmax(err_s))
         eu.append(err_u[mu])
         es.append(err_s[ms])
@@ -380,7 +380,7 @@ def run_temporal_study(
         te = est.temporal_estimate(traj)
         e13s.append(float(te.e13[-1]))
         hs.append(space.mesh.h_max)
-        ks.append(T / N)
+        ks.append(traj.grid.steps.max())
     ks, eu, es = np.array(ks), np.array(eu), np.array(es)
     zeros = np.zeros(len(ks))
     return StudyResult(

@@ -6,6 +6,9 @@ No module imports scipy.special: its import alone costs every run a few
 MB of resident memory, and numpy builds the quadrature rules.  No module
 calls spsolve: every sparse system is factorized once with splu and its
 factor kept, and block-diagonal ones are solved cell by cell.  Only
+solver._condense, whose factors are kept per weight 1 / k_n^2 of the
+grid's step sizes, and solver.initial_stress call splu, so no factor of
+the mixed system gets around that cache.  Only
 spaces.py branches on the RT index: the element's layout, basis and
 derivatives live there, and no other module may compare rt_index with a
 constant or test its truth.
@@ -87,6 +90,40 @@ def test_no_module_calls_spsolve(path):
         )
     ] + [name for name in _imported_modules(tree) if name.endswith(".spsolve")]
     assert not found, "{} calls spsolve: {}".format(path.name, ", ".join(found))
+
+
+def _splu_calls(tree):
+    """(function, line) of each splu call: the enclosing top-level function
+    or method, or "<module>"; and ("import", line) of each import of splu."""
+    owner = {node: fn.name for fn in _functions(tree) for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "splu" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            yield owner.get(node, "<module>"), node.lineno
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "splu" for a in node.names):
+            yield "import", node.lineno
+
+
+def test_only_condense_and_initial_stress_call_splu():
+    callers = {
+        (path.name, name)
+        for path in PACKAGE.glob("*.py")
+        for name, _ in _splu_calls(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert callers == {("solver.py", "_condense"), ("solver.py", "initial_stress")}
+
+
+def test_splu_guard_sees_calls_and_imports():
+    source = (
+        "from scipy.sparse.linalg import splu as lu\n"
+        "x = spla.splu(S)\n"
+        "def f(S):\n    return splu(S)\n"
+        "class C:\n    def g(self, S):\n        return spla.splu(S)\n"
+    )
+    assert sorted(_splu_calls(ast.parse(source))) == [
+        ("<module>", 2), ("f", 4), ("g", 7), ("import", 1),
+    ]
 
 
 def _rt_index_branches(tree):

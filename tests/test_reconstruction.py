@@ -267,10 +267,9 @@ def test_reconstruction_solve_checks_its_residual(monkeypatch):
 
     for c, solve in ((0.0, rec.reconstruct_elliptic), (_K ** -2, _step_solve)):
         solve(system, rhs)
-        key = float("%.12g" % c)
-        condensed = system._factor_cache[key]
+        condensed = system._factor_cache[c]  # kept under the exact weight
         perturbed = dataclasses.replace(condensed, lu=Perturbed(condensed.lu))
-        monkeypatch.setitem(system._factor_cache, key, perturbed)
+        monkeypatch.setitem(system._factor_cache, c, perturbed)
         with pytest.raises(solver.ToleranceNotMetError, match="1e-10"):
             solve(system, rhs)
         with pytest.raises(solver.ToleranceNotMetError):

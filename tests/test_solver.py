@@ -33,11 +33,31 @@ def test_time_grid_steps_are_computed_once_and_read_only():
     grid = solver.TimeGrid(nodes)
     assert grid.steps is grid.steps
     np.testing.assert_allclose(grid.steps, [0.1, 0.2, 0.3], rtol=1e-15)
-    for a in (grid.nodes, grid.steps):
+    assert grid.size_index.tolist() == [0, 1, 2]
+    for a in (grid.nodes, grid.sizes, grid.size_index, grid.steps):
         with pytest.raises(ValueError):
             a[0] = 1.0
     nodes[1] = 0.2  # the grid holds its own copy
     assert grid.nodes[1] == 0.1 and nodes.flags.writeable
+
+
+def test_time_grid_groups_steps_within_its_tolerance():
+    # steps 3e-10 relative apart are one size, of the group's first step;
+    # steps 1e-8 relative apart, or a factor apart, are not
+    k = [0.1, 0.1 * (1 + 3e-10), 0.25, 0.1 * (1 - 3e-10), 0.25 * (1 + 1e-8), 0.25]
+    grid = solver.TimeGrid(np.concatenate([[0.0], np.cumsum(k)]))
+    t = grid.nodes
+    assert grid.sizes.tolist() == [t[1], t[3] - t[2], t[5] - t[4]]
+    assert grid.size_index.tolist() == [0, 0, 1, 0, 2, 1]
+    assert np.array_equal(grid.steps, grid.sizes[grid.size_index])
+
+
+def test_backward_difference_divides_by_each_steps_size():
+    grid = solver.TimeGrid(np.array([0.0, 0.25, 0.75, 1.0]))
+    rows = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [4.0, 2.0]])
+    np.testing.assert_array_equal(
+        grid.backward_difference(rows), [[4.0, 0.0], [2.0, -2.0], [8.0, 8.0]]
+    )
 
 
 def test_time_grids_compare_and_hash_by_identity():
@@ -273,6 +293,23 @@ def test_trajectory_roundtrip(tmp_path):
     assert np.array_equal(dtU, traj.dtU)
 
 
+@pytest.mark.parametrize("nodes", [
+    solver.uniform_grid(0.7, 187).nodes,
+    # sizes 0.1 and 0.25, each step off its size by rounding or by 3e-10
+    np.cumsum([0.0, 0.1, 0.1 * (1 + 3e-10), 0.25, 0.1, 0.25 * (1 - 3e-10), 0.25]),
+])
+def test_saved_steps_are_the_grids_and_read_back(tmp_path, nodes):
+    grid = solver.TimeGrid(nodes)
+    u0, u1 = _standing_data()
+    traj = solver.run(assemble_system(MixedSpace(unit_square_mesh(2), 0)), None, u0, u1, grid)
+    solver.save_trajectory(traj, tmp_path / "out")
+    table = np.loadtxt(tmp_path / "out" / "grid.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 2], np.r_[0.0, grid.steps])
+    assert len(set(table[1:, 2])) == len(grid.sizes) < len(set(np.diff(nodes)))
+    loaded, U, _, _ = solver.load_states(tmp_path / "out")
+    assert np.array_equal(loaded, grid.nodes) and np.array_equal(U, traj.U)
+
+
 def test_truncated_state_file_raises(tmp_path):
     u0, u1 = _standing_data()
     space = MixedSpace(unit_square_mesh(3), 1)
@@ -401,14 +438,31 @@ def test_interrupted_save_leaves_no_short_state_file(tmp_path, monkeypatch):
 
 
 def test_one_factorization_per_nominal_step():
-    # the steps of uniform_grid(0.5, 40) take several float values
+    # the node differences of these grids take several float values, which
+    # a cache keyed on c rounded to 12 digits split over two factors for
+    # all but (0.5, 40); the grid gives them the one step size T / N
+    space = MixedSpace(unit_square_mesh(2), 0)
+    u0, u1 = _standing_data()
+    for T, N in ((0.5, 40), (0.7, 187), (0.3, 277), (1.5, 377)):
+        system = assemble_system(space)
+        grid = solver.uniform_grid(T, N)
+        assert len(set(np.diff(grid.nodes).tolist())) > 1
+        assert grid.sizes.tolist() == [T / N] and np.all(grid.steps == T / N)
+        assert grid.nodes[-1] == T and grid.num_steps == N
+        solver.run(system, None, u0, u1, grid)
+        assert list(system._factor_cache) == [1.0 / (T / N) ** 2], (T, N)
+
+
+def test_graded_run_keeps_one_factorization_per_step_size():
+    # three decimal sizes, whose node differences round apart
     space = MixedSpace(unit_square_mesh(2), 0)
     system = assemble_system(space)
-    grid = solver.uniform_grid(0.5, 40)
-    assert len(set(grid.steps.tolist())) > 1
+    grid = solver.TimeGrid(np.cumsum([0.0] + [0.01] * 7 + [0.03] * 5 + [0.1] * 4 + [0.03] * 2))
+    assert len(set(np.diff(grid.nodes).tolist())) > 3
     u0, u1 = _standing_data()
     solver.run(system, None, u0, u1, grid)
-    assert len(system._factor_cache) == 1
+    assert len(grid.sizes) == 3
+    assert sorted(system._factor_cache) == sorted(1.0 / grid.sizes ** 2)
 
 
 def _two_step_sizes():
