@@ -48,31 +48,26 @@ class GridError(SolverError):
     pass
 
 
-# Steps t_n - t_{n-1} that agree to this relative tolerance are one step
-# size.  Float nodes carry a rounding error of about eps |t_n|, so the
-# steps of one nominal size k spread by up to about (T / k) eps relative:
-# np.linspace grids of N steps spread by under N eps (5.5e-13 for
-# N <= 3000), which keeps them within 1e-9 up to about 4.5e6 steps.
-# Sizes a grid means to differ (a graded grid's steps are apart by a
-# factor, not by 1e-9) stay apart.
+# Node differences within this relative tolerance are one step size.
+# Float nodes carry rounding of about eps |t_n|, so the N steps of one
+# size in np.linspace nodes spread by under N eps (5.5e-13 for
+# N <= 3000): within 1e-9 up to about 4.5e6 steps.  Sizes a grid means
+# to differ are apart by far more.
 _STEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing finite time nodes t_0 = 0 < ... < t_N = T and
-    the step sizes k_n of the scheme, all read-only and fixed at
-    construction.
+    the step sizes of the scheme, read-only and fixed at construction.
 
-    The grid decides which steps are the same step: the differences
-    t_n - t_{n-1} are grouped, each group spanning at most _STEP_RTOL
-    relative from its smallest member, and each group takes the value of
-    its first step.  sizes holds these distinct sizes, ascending;
-    size_index[n - 1] is the entry of sizes that step n takes, and
-    steps[n - 1] = sizes[size_index[n - 1]] is the k_n every reader uses:
-    the time stepping (one factor per size), its residual check, the
-    estimators, the reconstructions and save_trajectory.  The nodes are
-    kept as given.  Grids compare and hash by identity.
+    The grid decides which steps are one step: node differences
+    t_n - t_{n-1} within _STEP_RTOL relative of the smallest in their
+    group are grouped, and a group's size is the difference of its first
+    step.  sizes holds the distinct sizes, ascending, and size_index[n - 1]
+    the one step n takes; steps[n - 1] = sizes[size_index[n - 1]] is the
+    k_n every reader uses.  The nodes are kept as given.  Grids compare
+    and hash by identity.
     """
 
     nodes: np.ndarray
@@ -547,7 +542,8 @@ def save_trajectory(traj, directory):
     """
     os.makedirs(directory, exist_ok=True)
     rows = ["n,t_n,k_n\n"]
-    for n, (t, k) in enumerate(zip(traj.grid.nodes, np.r_[0.0, traj.grid.steps])):
+    for n, t in enumerate(traj.grid.nodes):
+        k = 0.0 if n == 0 else traj.grid.steps[n - 1]
         rows.append("{},{:.17g},{:.17g}\n".format(n, t, k))
     _write_replacing(os.path.join(directory, "grid.csv"), "".join(rows).encode())
     nd, ns = traj.space.n_disp, traj.space.n_stress
