@@ -274,11 +274,11 @@ class EstimatorOperators:
     coefficient vectors and carry sqrt(w) of their quadrature, so a
     cellwise L2 norm is a block norm of the image.
 
-    alpha_sigma : alpha Sigma_h at the cell quadrature, rows (T, nq, 2)
-    grad_u : the broken gradient grad_h U at the cell quadrature, rows
-        (T, nq, 2), on displacement coefficients, from
-        MixedSpace.eval_disp_grad_basis; the zero map, with no stored
-        entries, for RT0, whose displacements are constant on each cell
+    defect : the gradient defect alpha Sigma_h + grad_h U at the cell
+        quadrature, rows (T, nq, 2), on the stacked coefficients (Sigma, U).
+        Its U columns are the broken gradient of
+        MixedSpace.eval_disp_grad_basis; they store no entries for RT0,
+        whose displacements are constant on each cell
     jump : (alpha Sigma_h) . t, left minus right cell of Mesh.edge_cells,
         on the interior edges in index order, rows (n_interior, nq_edge);
         t is the canonical edge tangent, and boundary edges carry no jump
@@ -286,14 +286,29 @@ class EstimatorOperators:
         sum_E h_E / 2 int_E |jump|^2 over the interior edges E of a cell
     curl : curl_h(alpha Sigma_h) = d1 g2 - d2 g1 of g = alpha Sigma_h at
         the cell quadrature, rows (T, nq).  The derivatives of the stress
-        basis and of alpha (Coefficient.dalpha_at) are exact.
+        basis and of alpha (Coefficient.dalpha_at) are exact.  For RT0 it
+        stores no entries when A is constant, or diag(a(x), b(y)) as in
+        the variable-coefficient problem: every curl sample is then an
+        exact zero.
     """
 
-    alpha_sigma: sp.csr_matrix
-    grad_u: sp.csr_matrix
+    defect: sp.csr_matrix
     jump: sp.csr_matrix
     cell_jump: sp.csr_matrix
     curl: sp.csr_matrix
+
+
+def _defect_op(space, alpha):
+    """alpha Sigma_h + grad_h U on the stacked (Sigma, U), weighted by sqrt(w)."""
+    cells, pts = np.arange(space.mesh.num_cells), space.quad_points
+    sqrt_w = np.sqrt(space.quad_weights)[..., None, None]  # (T, nq, 1, 1)
+    alpha_sigma = (_block_diag(sqrt_w * alpha) @ space.stress_quad_map).tocsr()
+    grad = np.swapaxes(space.eval_disp_grad_basis(cells, pts), -1, -2)
+    grad_u = _cell_rows(sqrt_w * grad, space.cell_disp_dofs, space.n_disp)
+    grad_u.eliminate_zeros()  # all of it for RT0: constants have no slope
+    # hstack keeps the entry order of CSR blocks, so each sample sums its
+    # alpha Sigma_h terms in the product's order, bit for bit
+    return sp.hstack([alpha_sigma, grad_u], format="csr")
 
 
 def _build_estimator_ops(system):
@@ -304,13 +319,7 @@ def _build_estimator_ops(system):
     dofs = space.cell_stress_dofs
     pts = space.quad_points
     sqrt_w = np.sqrt(space.quad_weights)[..., None]  # (T, nq, 1)
-    alpha_sigma = (
-        _block_diag(sqrt_w[..., None] * alpha) @ space.stress_quad_map
-    ).tocsr()
-
-    grad = np.swapaxes(space.eval_disp_grad_basis(np.arange(T), pts), -1, -2)
-    grad_u = _cell_rows(sqrt_w[..., None] * grad, space.cell_disp_dofs, space.n_disp)
-    grad_u.eliminate_zeros()  # all of it for RT0: constants have no slope
+    defect = _defect_op(space, alpha)
 
     # tangential traces from both sides of each interior edge
     interior = np.flatnonzero(~mesh.boundary_edge)
@@ -349,6 +358,5 @@ def _build_estimator_ops(system):
         dx, dy = coeff.dalpha_at(pts, alpha)
         curl += np.einsum(rows, dx[..., 1, :], sb) - np.einsum(rows, dy[..., 0, :], sb)
     curl = _cell_rows(sqrt_w * curl, dofs, n_s)
-    return EstimatorOperators(
-        alpha_sigma=alpha_sigma, grad_u=grad_u, jump=jump, cell_jump=cell_jump, curl=curl
-    )
+    curl.eliminate_zeros()  # all of it for RT0 with A constant or diag(a(x), b(y))
+    return EstimatorOperators(defect=defect, jump=jump, cell_jump=cell_jump, curl=curl)

@@ -8,12 +8,26 @@ weight mu and the forcing defect f_bar - f.  The composite report sums
 both families into node-wise displacement and stress bounds and, when
 true errors are supplied, effectivity indices.
 
+The displacement bound reads only the residual and gradient-defect part
+(e1) of a spatial estimate; the jump and curl terms enter the stress
+bound alone (e6n, e50).  So a spatial estimate forms jump and curl when
+they are first read.  compose_report makes 3N+2 estimates, one per data
+set: the N+1 nodes, and node 0 and its first difference again for the
+initial terms, then the N first and N-1 second backward differences.
+Only the nodes and the initial node form jump and curl, N+2 of them.
+The report holds one node's data at a time.  Stacking r_2 and its
+differences over all nodes raised its transient memory from 0.5 to
+23 MB (RT0, 16 x 16 cells, N = 128) and was no faster: under a 1 MiB
+mmap threshold each large temporary is mapped afresh and pays page
+faults.
+
 All time derivatives of node data (r_2, Sigma, U) are backward
 differences of the stored node values, matching the discrete d_t
 operator of the scheme.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,15 +51,30 @@ class MissingSeriesError(EstimatorError):
 class SpatialEstimate:
     """Per-cell spatial estimator ingredients at one time node.
 
-    Each array holds nonnegative per-cell values; the totals are sums of
-    root-sum-squares of the ingredient arrays.
+    Each ingredient holds nonnegative per-cell values; the totals are
+    sums of root-sum-squares of the ingredient arrays.  residual_low,
+    residual_high and gradient are formed by spatial_estimate.  jump and
+    curl are formed from `system` and `sigma`, the estimate's own copy of
+    the stress coefficients, on first read: e1 does not read them.
     """
 
     residual_low: np.ndarray  # ||h^{l+1} r_2||_K
     residual_high: np.ndarray  # ||h r_2||_K
     gradient: np.ndarray  # ||h(alpha sigma + grad_h U)||_K
-    jump: np.ndarray  # edge jumps, halved onto cells
-    curl: np.ndarray  # ||h curl(alpha sigma)||_K
+    system: object = field(repr=False)
+    sigma: np.ndarray = field(repr=False)
+
+    @cached_property
+    def jump(self):
+        """Edge jumps of alpha sigma, halved onto cells."""
+        ops = self.system.estimator_ops
+        return np.sqrt(ops.cell_jump @ (ops.jump @ self.sigma) ** 2)
+
+    @cached_property
+    def curl(self):
+        """||h curl(alpha sigma)||_K."""
+        h = self.system.space.mesh.h_cell
+        return h * _block_norms(self.system.estimator_ops.curl @ self.sigma, len(h))
 
     @property
     def e1(self):
@@ -69,21 +98,21 @@ def spatial_estimate(system, sigma_coeffs, r2_values, displacement):
     system.space, shape (T, nq); sigma_coeffs and displacement are the
     coefficient vectors of Sigma and U.  The other terms are products of
     system.estimator_ops with those vectors: the gradient defect
-    ||h(alpha sigma + grad_h U)||_K and ||h curl(alpha sigma)||_K are
-    h_K times block norms of the products, and the jump term is the root
-    of cell_jump applied to the squared jump samples.
+    ||h(alpha sigma + grad_h U)||_K, one product with the stacked
+    (sigma, U), and ||h curl(alpha sigma)||_K are h_K times block norms of
+    the products, and the jump term is the root of cell_jump applied to
+    the squared jump samples.  Jump and curl are formed when first read.
     """
     space, ops = system.space, system.estimator_ops
     h = space.mesh.h_cell
-    T = len(h)
     r2_cell = disp_l2_norm_cellwise(space, np.asarray(r2_values, dtype=float))
-    defect = ops.alpha_sigma @ sigma_coeffs + ops.grad_u @ displacement
+    coeffs = np.concatenate([sigma_coeffs, displacement])
     return SpatialEstimate(
         residual_low=h ** (space.rt_index + 1) * r2_cell,
         residual_high=h * r2_cell,
-        gradient=h * _block_norms(defect, T),
-        jump=np.sqrt(ops.cell_jump @ (ops.jump @ sigma_coeffs) ** 2),
-        curl=h * _block_norms(ops.curl @ sigma_coeffs, T),
+        gradient=h * _block_norms(ops.defect @ coeffs, len(h)),
+        system=system,
+        sigma=coeffs[: space.n_stress],
     )
 
 

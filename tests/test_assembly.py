@@ -8,6 +8,7 @@ from mixedwave import spaces
 from mixedwave.estimators import spatial_estimate
 from mixedwave.mesh import build_mesh, two_triangle_square, unit_square_mesh
 from mixedwave.spaces import MixedSpace, fortin_interpolate, l2_project_scalar
+from mixedwave.verification import PROBLEMS
 
 _x, _y = asm._X, asm._Y
 
@@ -197,6 +198,18 @@ def test_curl_derivative_of_alpha_matches_closed_form(l, sigma, curl):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("problem", ["standing-wave", "variable-coefficient"])
+def test_curl_stores_no_rt0_entry_and_every_rt1_entry(problem):
+    # A = I and A = diag(1 + x/2, 1 + y/2): every RT0 curl sample is an
+    # exact zero, and none is stored; RT1 keeps each local entry
+    A = PROBLEMS[problem]().A
+    for l in (0, 1):
+        space = MixedSpace(unit_square_mesh(8), l)
+        curl = asm.assemble_system(space, A).estimator_ops.curl
+        assert curl.shape == (space.quad_weights.size, space.n_stress)
+        assert curl.nnz == (0 if l == 0 else curl.shape[0] * space.n_loc_stress)
+
+
 def test_jump_zero_on_one_cell_mesh():
     # a single triangle has no interior edge, so its jump term is 0
     mesh = build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]])
@@ -285,7 +298,7 @@ def test_cell_rows_match_their_coo_construction(monkeypatch):
     ref_ops = asm.assemble_system(ref_space, coeff).estimator_ops
     pairs = [
         (got, getattr(ref_space, name)) for got, name in zip(maps, names)
-    ] + [(getattr(ops, name), getattr(ref_ops, name)) for name in ("grad_u", "jump", "curl")]
+    ] + [(getattr(ops, name), getattr(ref_ops, name)) for name in ("defect", "jump", "curl")]
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.array_equal(got.toarray(), want.toarray())

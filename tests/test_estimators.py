@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import sympy as sym
 from mixedwave import assembly as asm
 from mixedwave import estimators as est
 from mixedwave import quadrature, solver
-from mixedwave.assembly import Coefficient, assemble_system
+from mixedwave import verification as ver
+from mixedwave.assembly import Coefficient, assemble_system, disp_l2_norm_cellwise
 from mixedwave.mesh import unit_square_mesh
 from mixedwave.spaces import MixedSpace
 
@@ -223,6 +226,110 @@ def _estimate_data(space, seed=5):
     )
 
 
+_INGREDIENTS = ("residual_low", "residual_high", "gradient", "jump", "curl")
+
+
+def _eager_ingredients(system, sigma, r2, u):
+    """All five ingredients formed at once, the gradient defect as the sum
+    of its Sigma and U products."""
+    space, ops = system.space, system.estimator_ops
+    h, n_s = space.mesh.h_cell, space.n_stress
+    r2_cell = disp_l2_norm_cellwise(space, r2)
+    defect = ops.defect[:, :n_s] @ sigma + ops.defect[:, n_s:] @ u
+    return {
+        "residual_low": h ** (space.rt_index + 1) * r2_cell,
+        "residual_high": h * r2_cell,
+        "gradient": h * est._block_norms(defect, len(h)),
+        "jump": np.sqrt(ops.cell_jump @ (ops.jump @ sigma) ** 2),
+        "curl": h * est._block_norms(ops.curl @ sigma, len(h)),
+    }
+
+
+@pytest.mark.parametrize("A", [np.array([[2.0, 0.3], [0.3, 1.0]]), _varcoef],
+                         ids=["constant", "variable"])
+@pytest.mark.parametrize("l", [0, 1])
+def test_ingredients_match_their_eager_formulas(l, A):
+    space = MixedSpace(unit_square_mesh(3), l)
+    system = assemble_system(space, Coefficient(A))
+    data = _estimate_data(space)
+    se = est.spatial_estimate(system, *data)
+    for name, want in _eager_ingredients(system, *data).items():
+        assert np.array_equal(getattr(se, name), want), name
+
+
+class _Logged:
+    """A sparse operator that logs its name at each product taken with it."""
+
+    def __init__(self, name, op, log):
+        self.name, self.op, self.log = name, op, log
+
+    def __matmul__(self, other):
+        self.log.append(self.name)
+        return self.op @ other
+
+
+def _log_products(system):
+    """Swap the system's estimator operators for logged ones; return the log."""
+    log, ops = [], system.estimator_ops
+    system.estimator_ops = dataclasses.replace(ops, **{
+        f.name: _Logged(f.name, getattr(ops, f.name), log) for f in dataclasses.fields(ops)
+    })
+    return log
+
+
+def test_reading_e1_forms_no_jump_or_curl_product():
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space, Coefficient(_varcoef))
+    log = _log_products(system)
+    se = est.spatial_estimate(system, *_estimate_data(space))
+    assert se.e1 > 0.0
+    assert log == ["defect"]
+    e2 = se.e2
+    assert se.e2 == e2 > 0.0  # jump and curl are kept from the first read
+    assert sorted(log) == ["cell_jump", "curl", "defect", "jump"]
+
+
+def test_compose_report_forms_jump_and_curl_at_the_nodes_only():
+    # 3N+2 estimates, one product of the defect each; jump and curl at
+    # the N+1 nodes and again for e50 at node 0
+    N = 5
+    traj = _traj(N=N)
+    log = _log_products(traj.system)
+    est.compose_report(traj)
+    assert Counter(log) == {
+        "defect": 3 * N + 2, "jump": N + 2, "cell_jump": N + 2, "curl": N + 2,
+    }
+
+
+def test_jump_and_curl_read_the_estimates_own_stress():
+    space = MixedSpace(unit_square_mesh(3), 1)
+    system = assemble_system(space, Coefficient(_varcoef))
+    sigma, r2, u = _estimate_data(space)
+    want = est.spatial_estimate(system, sigma.copy(), r2, u)
+    got = est.spatial_estimate(system, sigma, r2, u)
+    sigma[:] = _estimate_data(space, seed=6)[0]
+    for name in ("jump", "curl"):
+        assert getattr(want, name).any()
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_compose_report_transient_memory_stays_under_one_mib():
+    # The finest level of the standing-wave study (RT0, 16 x 16, N = 128).
+    # The report holds one estimate at a time, so its temporaries stay at
+    # node size; stacked whole-trajectory arrays would take tens of MB.
+    traj = ver.solve_problem(ver.standing_wave(), 16, 128)
+    traj.system.estimator_ops  # the system's, built once and kept
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        report = est.compose_report(traj)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.bound_u.shape == (129,)
+    assert peak - held <= 1 << 20
+
+
 def test_systems_of_two_coefficients_on_one_space_match_fresh_spaces():
     # each system owns the operators of its own coefficient, whatever
     # else was assembled on the same space
@@ -233,8 +340,8 @@ def test_systems_of_two_coefficients_on_one_space_match_fresh_spaces():
     for c, got in zip(coeffs, shared):
         fresh_space = MixedSpace(unit_square_mesh(3), 1)
         fresh = est.spatial_estimate(assemble_system(fresh_space, c), *data)
-        for f in dataclasses.fields(est.SpatialEstimate):
-            np.testing.assert_array_equal(getattr(got, f.name), getattr(fresh, f.name))
+        for name in _INGREDIENTS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(fresh, name))
     assert shared[0].e2 != shared[1].e2
 
 
