@@ -34,7 +34,6 @@ from .reconstruction import (
     c1_eval,
     enrich_space,
     mu,
-    reconstruct_elliptic,
     reconstruct_trajectory,
 )
 from .solver import TimeGrid, Trajectory, run, uniform_grid

@@ -6,7 +6,10 @@ tangential jumps of alpha sigma_h and its elementwise curl.  Temporal
 estimates accumulate the interval sums driven by the C1 reconstruction
 weight mu and the forcing defect f_bar - f.  The composite report sums
 both families into node-wise displacement and stress bounds and, when
-true errors are supplied, effectivity indices.
+true errors are supplied, effectivity indices.  No estimator calls f:
+f_bar^n at the quadrature and the step integrals of the forcing defect
+are read from the run (Trajectory.fbar_quad, Trajectory.forcing_defect),
+which took both from solver.forcing_blocks.
 
 The displacement bound reads only the residual and gradient-defect part
 (e1) of a spatial estimate; the jump and curl terms enter the stress
@@ -31,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import solver
 from .assembly import disp_l2_norm, disp_l2_norm_cellwise
 
 
@@ -167,28 +169,18 @@ def temporal_estimate(traj):
     mesh-change part of the second family; both are identically zero on
     the fixed meshes this solver runs.  The data (r_2^j - div Sigma^j)
     is evaluated as d2U^j - f_bar^j, its algebraically identical strong
-    form on a fixed mesh, with f_bar^j read from the run
-    (Trajectory.fbar_quad).  The forcing defect int_{I_j} ||f_bar^j - f||
-    is a 5-point Gauss rule in time: under "average" the run kept it
-    from the samples that built f_bar^j (Trajectory.forcing_defect), so
-    f is not called; under "pointwise" f is sampled here at the five
-    Gauss times of each step, in one call per step (gauss_samples).
+    form on a fixed mesh.  f_bar^j and the forcing defect
+    int_{I_j} ||f_bar^j - f||, a 5-point Gauss rule in time, are read from
+    the run under both forcing modes (Trajectory.fbar_quad and
+    Trajectory.forcing_defect), so f is not called.
     """
     space = traj.space
     grid = traj.grid
     N = grid.num_steps
     k = grid.steps
-    fbar = traj.fbar_quad
-    defect = traj.forcing_defect
+    fbar, defect = traj.fbar_quad, traj.forcing_defect
     if fbar is None:  # f = 0
-        fbar = np.zeros((N + 1, 1, 1))
-        defect = np.zeros(N + 1)
-    elif defect is None:  # "pointwise"
-        defect = np.zeros(N + 1)
-        for j in range(1, N + 1):
-            t_prev, t_j = grid.interval(j)
-            samples = solver.gauss_samples(traj.f, space.quad_points, t_prev, t_j)
-            defect[j] = solver.step_defect(space, k[j - 1], fbar[j], samples)
+        fbar, defect = np.zeros((N + 1, 1, 1)), np.zeros(N + 1)
 
     names = ("e11", "e12", "e13", "e14", "e21", "e22", "e23", "e24")
     acc = {name: np.zeros(N + 1) for name in names}

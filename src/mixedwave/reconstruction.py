@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import assemble_system
+from .assembly import assemble_system, load_of_values
 from .mesh import refine_uniform
-from .solver import TimeGrid, _node_blocks, load_vector, solve_mixed
+from .solver import TimeGrid, _node_blocks, forcing_blocks, solve_mixed
 from .spaces import MixedSpace, _cell_rows, l2_project_local, rt_interpolate
 
 
@@ -106,7 +106,6 @@ class EnrichedSpace:
 
     coarse: MixedSpace
     fine: MixedSpace
-    levels: int
     parent_of_cell: np.ndarray = field(repr=False)
     P_stress: sp.csr_matrix = field(repr=False)
     P_disp: sp.csr_matrix = field(repr=False)
@@ -149,7 +148,6 @@ def enrich_space(space, levels=1):
     return EnrichedSpace(
         coarse=space,
         fine=fine,
-        levels=levels,
         parent_of_cell=parent,
         P_stress=_stress_prolongation(space, fine, parent),
         P_disp=_disp_prolongation(space, fine, parent),
@@ -159,18 +157,6 @@ def enrich_space(space, levels=1):
 # ----------------------------------------------------------------------
 # elliptic reconstruction
 # ----------------------------------------------------------------------
-
-def reconstruct_elliptic(fine_system, rhs_disp):
-    """Solve the enriched mixed Poisson problem.
-
-    Finds (sigma_t, u_t) with (alpha sigma_t, v) - (u_t, div v) = 0 and
-    (div sigma_t, w) = (rhs_disp, w) for all enriched test functions;
-    `rhs_disp` is already a load vector over the enriched displacement
-    basis, or an (m, n_disp) stack of them.  This is solver.solve_mixed
-    with weight 0, whose return value and residual check it shares.
-    """
-    return solve_mixed(fine_system, 0.0, rhs_disp)
-
 
 @dataclass
 class EllipticReconstruction:
@@ -205,11 +191,12 @@ def reconstruct_trajectory(traj, enriched=None):
 
     The right-hand side at node n is f_bar^n - d2U^n, with d2U^n
     transferred to the enriched space and f_bar^n sampled as the run
-    sampled it; node 0 takes the discrete initial acceleration
+    sampled it, at the enriched quadrature (solver.forcing_blocks, one f
+    call per node block); node 0 takes the discrete initial acceleration
     (Trajectory.d2U) and f at t = 0.  The N+1 right-hand sides share one
-    factorization of the enriched system (solver.solve_mixed).  Each
-    node's load is written into one preallocated array, and every
-    product over all nodes runs in node blocks of at most
+    factorization of the enriched system (solver.solve_mixed, weight 0).
+    The loads are written into one preallocated array, and every
+    sampling and product over all nodes runs in node blocks of at most
     solver._BLOCK_ENTRIES (1 MiB) per temporary, so the reconstruction
     holds little beyond its four outputs.  The enriched factor is used
     once: it is dropped from fine_system's factor cache before the
@@ -222,12 +209,12 @@ def reconstruct_trajectory(traj, enriched=None):
     nodes = traj.grid.num_steps + 1
     P, M = enriched.P_disp, fine_system.M_u
 
-    rhs = np.empty((nodes, enriched.fine.n_disp))
-    for n in range(nodes):
-        rhs[n] = load_vector(fine_system, traj.f, *traj.grid.interval(n), traj.forcing_mode)
+    rhs = np.zeros((nodes, enriched.fine.n_disp))
+    for b, fbar, _ in forcing_blocks(enriched.fine, traj.f, traj.grid, traj.forcing_mode):
+        rhs[b] = load_of_values(enriched.fine, fbar)
     for k in _node_blocks(nodes, rhs.shape[1]):
         rhs[k] -= (M @ (P @ traj.d2U[k].T)).T
-    u_t, s_t = reconstruct_elliptic(fine_system, rhs)
+    u_t, s_t = solve_mixed(fine_system, 0.0, rhs)
     del rhs  # before the transfers, which are as large
     fine_system._factor_cache.pop(0.0)
     return EllipticReconstruction(

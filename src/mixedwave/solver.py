@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .assembly import SaddleSystem, _scatter, disp_l2_norm, load_of_values
+from .assembly import SaddleSystem, _scatter, load_of_values
 from .spaces import _cell_rows, l2_project_scalar
 
 # 5-point Gauss rule used for all time integrals
@@ -135,14 +135,12 @@ class Trajectory:
 
     U, Sigma, dtU hold one coefficient row per time node; f_bar holds the
     load vectors (f_bar^n, w_h) actually used (row 0 is the load at t=0).
-    forcing_mode is "pointwise" or "average" (see sample_forcing).  The
-    run keeps the forcing data every estimator reads, so none samples
-    f_bar^n again: fbar_quad holds f_bar^n at space.quad_points, shape
-    (N+1, T, nq), and, under "average", forcing_defect holds the step
-    integrals int_{I_n} ||f_bar^n - f|| of the 5-point Gauss rule on the
-    samples that built f_bar^n (entry 0 is zero), f being called once per
-    node.  Both are None when f is None; forcing_defect is None under
-    "pointwise" too.
+    forcing_mode is "pointwise" or "average" (see forcing_blocks).  The
+    run keeps the forcing data every estimator reads, so none calls f:
+    fbar_quad holds f_bar^n at space.quad_points, shape (N+1, T, nq), and
+    forcing_defect the step integrals int_{I_n} ||f_bar^n - f|| of the
+    5-point Gauss rule (entry 0 is zero), under both modes, from the same
+    f calls as f_bar^n.  Both are None when f is None.
     """
 
     grid: TimeGrid
@@ -393,97 +391,88 @@ def initial_acceleration(traj):
     return _checked(s.M_u, a, rhs, "initial acceleration")
 
 
-def _check_forcing_mode(forcing_mode):
-    if forcing_mode not in ("pointwise", "average"):
-        raise SolverError("forcing_mode must be 'pointwise' or 'average'")
-
-
-def _sample(f, pts, shape, t):
-    return np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float), shape)
-
-
-def gauss_samples(f, pts, t_prev, t_n):
-    """f at the 5 Gauss times of (t_prev, t_n], shape (5,) + pts.shape[:-1].
-
-    One f call: the times, of shape (5, 1, ..., 1), broadcast against
-    the points, so f must accept an array t that broadcasts against x.
-    """
-    shape = pts.shape[:-1]
-    t = (t_prev + _TIME_PTS * (t_n - t_prev)).reshape((-1,) + (1,) * len(shape))
-    return _sample(f, pts, t.shape[:1] + shape, t)
-
-
-def sample_forcing(f, pts, t_prev, t_n, forcing_mode):
-    """f_bar^n of the step (t_prev, t_n] at the points `pts` (..., 2).
+def forcing_blocks(space, f, grid, forcing_mode, defect=False):
+    """f_bar^n of every node of `grid` at space.quad_points, in node blocks.
 
     f_bar^n is f(., t_n) under "pointwise" and, under "average", the
-    5-point Gauss mean of f over the step; the empty step of node 0
-    (t_prev = t_n) gives f(., t_n) under both, in one f call.  Returns
-    (f_bar, samples), samples being the gauss_samples stack the average
-    was built from (None under "pointwise" or on node 0).  f = None is
-    f = 0, with no samples.
+    5-point Gauss mean of f over the step (t_{n-1}, t_n], at the times
+    t_{n-1} + tau (t_n - t_{n-1}) and with the weights summed in the
+    rule's order; node 0 takes f(., 0) under both.  Returns an iterator
+    of (b, fbar, step_defect), b a slice of the nodes and fbar of shape
+    (m, T, nq).  A block is one f call: its times, of shape (M, 1, 1),
+    broadcast against the (T, nq) points, so f must accept an array t
+    that broadcasts against x; a time-independent f may return x's
+    shape.  The stack of samples holds at most _BLOCK_ENTRIES entries
+    unless one node's alone is larger.  With `defect`, step_defect holds
+    int_{I_n} ||f_bar^n - f|| of the Gauss rule in time (0 at node 0),
+    for which "pointwise" samples the Gauss times too; otherwise it is
+    None.  f = None yields no block.  The mode is checked on the call.
     """
-    _check_forcing_mode(forcing_mode)
-    shape = pts.shape[:-1]
+    if forcing_mode not in ("pointwise", "average"):
+        raise SolverError("forcing_mode must be 'pointwise' or 'average'")
     if f is None:
-        return np.zeros(shape), None
-    if forcing_mode == "pointwise" or t_n == t_prev:
-        return _sample(f, pts, shape, t_n), None
-    samples = gauss_samples(f, pts, t_prev, t_n)
-    return sum(w * fs for w, fs in zip(_TIME_WTS, samples)), samples
+        return iter(())
+    x, y = space.quad_points[..., 0], space.quad_points[..., 1]
+    shape = space.quad_weights.shape
+    t = grid.nodes
+    t_prev = np.r_[0.0, t[:-1]]
+    k = np.r_[0.0, grid.steps]
+    average = forcing_mode == "average"
+    gauss = average or defect
+    # rows of times per node: t_n under "pointwise", then the Gauss times
+    rows = (not average) + 5 * gauss
 
+    def block(b):
+        times = [] if average else [t[b]]
+        if gauss:
+            times.extend(t_prev[b] + _TIME_PTS[:, None] * (t[b] - t_prev[b]))
+        times = np.array(times)
+        vals = np.asarray(f(x, y, times.reshape(-1, 1, 1)), dtype=float)
+        vals = np.broadcast_to(vals, (times.size,) + shape).reshape(times.shape + shape)
+        if average:
+            fbar = sum(w * fs for w, fs in zip(_TIME_WTS, vals))
+            if b.start == 0:
+                fbar[0] = vals[0, 0]
+        else:
+            fbar = vals[0]
+        if not defect:
+            return b, fbar, None
+        norms = np.sqrt(np.einsum("tq,jmtq->jm", space.quad_weights, (fbar - vals[-5:]) ** 2))
+        return b, fbar, sum(w * k[b] * norm for w, norm in zip(_TIME_WTS, norms))
 
-def step_defect(space, k, fbar, samples):
-    """int_{I_n} ||f_bar^n - f||: the Gauss rule in time on `samples`."""
-    norms = [disp_l2_norm(space, fbar - fs) for fs in samples]
-    return sum(w * k * norm for w, norm in zip(_TIME_WTS, norms))
-
-
-def load_vector(system, f, t_prev, t_n, forcing_mode):
-    """(f_bar^n, w_h) of the step (t_prev, t_n]; see sample_forcing."""
-    space = system.space
-    if f is None:
-        return np.zeros(space.n_disp)
-    fbar, _ = sample_forcing(f, space.quad_points, t_prev, t_n, forcing_mode)
-    return load_of_values(space, fbar)
+    return map(block, _node_blocks(grid.num_steps + 1, rows * space.quad_weights.size))
 
 
 def run(system, f, u0, u1, grid, forcing_mode="pointwise"):
     """Run the fully discrete scheme over `grid`; returns a Trajectory.
 
-    f_bar^n is sampled with one f call per node at the space quadrature
-    (see Trajectory for what the run keeps of it).  Step n is four sparse
-    products and one triangular solve: its load g = f_bar^n + M_u (U^{n-1}
-    + k_n dtU^{n-1}) / k_n^2, the multipliers from the factor of weight
-    1 / k_n^2 (non-finite ones raise SingularSystemError) and the recovery
-    of (Sigma^n, U^n).  There is one factor per entry of grid.sizes, and
-    step n takes the one grid.size_index gives it.  _check_steps checks
-    all steps after the loop.
+    f_bar^n and the forcing defect come from forcing_blocks, one f call
+    per node block (see Trajectory for what the run keeps of them).  Step
+    n is four sparse products and one triangular solve: its load g =
+    f_bar^n + M_u (U^{n-1} + k_n dtU^{n-1}) / k_n^2, the multipliers from
+    the factor of weight 1 / k_n^2 (non-finite ones raise
+    SingularSystemError) and the recovery of (Sigma^n, U^n).  There is
+    one factor per entry of grid.sizes, and step n takes the one
+    grid.size_index gives it.  _check_steps checks all steps after the
+    loop.
     """
-    _check_forcing_mode(forcing_mode)
     space = system.space
     N = grid.num_steps
+    f_bar = np.zeros((N + 1, space.n_disp))
+    fbar_quad = defect = None
+    if f is not None:
+        fbar_quad = np.empty((N + 1,) + space.quad_weights.shape)
+        defect = np.empty(N + 1)
+    for b, fbar, step_defect in forcing_blocks(space, f, grid, forcing_mode, defect=True):
+        fbar_quad[b], defect[b] = fbar, step_defect
+        f_bar[b] = load_of_values(space, fbar)
+
     U = np.zeros((N + 1, space.n_disp))
     Sigma = np.zeros((N + 1, space.n_stress))
     dtU = np.zeros((N + 1, space.n_disp))
-
     U[0] = l2_project_scalar(space, u0)
     dtU[0] = l2_project_scalar(space, u1)
     Sigma[0] = initial_stress(system, U[0])
-    fbar_quad = defect = None
-    if f is None:
-        f_bar = np.zeros((N + 1, space.n_disp))
-    else:
-        fbar_quad = np.empty((N + 1,) + space.quad_weights.shape)
-        if forcing_mode == "average":
-            defect = np.zeros(N + 1)
-        for n in range(N + 1):
-            fbar_quad[n], samples = sample_forcing(
-                f, space.quad_points, *grid.interval(n), forcing_mode
-            )
-            if samples is not None:
-                defect[n] = step_defect(space, grid.steps[n - 1], fbar_quad[n], samples)
-        f_bar = load_of_values(space, fbar_quad)
     n_s, M_u = space.n_stress, system.M_u
     factors = [_condense(system, 1.0 / k ** 2) for k in grid.sizes]
     for n in range(1, N + 1):

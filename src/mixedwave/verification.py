@@ -7,7 +7,7 @@ re-checked numerically at registration.  The derived f and div sigma
 are lambdified as differentiated, without expansion or simplification.
 Every closed form is evaluated as a separated sum sum_i g_i(x, y) h_i(t)
 of its terms (assembly._closed_form): a call with many times, such as
-a step's five Gauss times, computes the spatial factors once, and only
+the times of a block of nodes, computes the spatial factors once, and only
 the products g_i h_i take the full broadcast shape.  True errors fix the
 cell quadrature once per closed form and call (closed_form.at): the g_i
 are evaluated there once, and each block of nodes, sized so that every
@@ -26,7 +26,7 @@ import sympy as sym
 from . import estimators as est
 from . import reconstruction as rec
 from . import solver
-from .assembly import _T, _X, _Y, Coefficient, _closed_form, assemble_system
+from .assembly import _T, _X, _Y, Coefficient, _closed_form, assemble_system, load_of_values
 from .mesh import unit_square_mesh
 from .spaces import MixedSpace
 
@@ -44,7 +44,8 @@ class ManufacturedProblem:
     """Closed-form exact solution of u_tt - div(A grad u) = f.
 
     All callables take (x, y, t) arrays that broadcast against each other
-    (the solver passes a step's five Gauss times as t of shape (5, 1, 1));
+    (solver.forcing_blocks passes the times of a node block as t of shape
+    (M, 1, 1));
     sigma returns the broadcast shape + (2,) and A is a Coefficient.  Each
     callable evaluates its expression as a separated sum
     sum_i g_i(x, y) h_i(t), the spatial factors once per call whatever the
@@ -442,10 +443,12 @@ def oracle_small_instance(problem=None, steps=3, rt_index=0, k=0.1):
     Bf, Muf = fs.B.toarray(), fs.M_u.toarray()
     nsf = recon.enriched.fine.n_stress
     K = np.block([[fs.M_sigma.toarray(), -Bf.T], [Bf, np.zeros((Bf.shape[0], Bf.shape[0]))]])
+    loads = np.zeros((steps + 1, fs.space.n_disp))
+    for b, fbar, _ in solver.forcing_blocks(fs.space, traj.f, grid, traj.forcing_mode):
+        loads[b] = load_of_values(fs.space, fbar)
     for n in range(steps + 1):
         dt2 = recon.enriched.P_disp @ traj.d2U[n]
-        load = solver.load_vector(fs, traj.f, *grid.interval(n), traj.forcing_mode)
-        sol = np.linalg.solve(K, np.concatenate([np.zeros(nsf), load - Muf @ dt2]))
+        sol = np.linalg.solve(K, np.concatenate([np.zeros(nsf), loads[n] - Muf @ dt2]))
         rscale = max(scale, np.abs(recon.sigma_tilde[n]).max())
         worst = max(worst, np.abs(sol[:nsf] - recon.sigma_tilde[n]).max() / rscale,
                     np.abs(sol[nsf:] - recon.u_tilde[n]).max() / rscale)

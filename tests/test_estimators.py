@@ -84,28 +84,30 @@ def test_forcing_defect_positive_for_time_dependent_f():
     assert te.e24[-1] > 0.0
 
 
-@pytest.mark.parametrize("mode, per_step", [("average", 0), ("pointwise", 1)])
-def test_temporal_estimate_samples_f_once_per_time(mode, per_step):
-    # f_bar^j and, under "average", the forcing defect come from the run;
-    # under "pointwise" the defect samples the five Gauss times of each
-    # step in one call.  The strong residual reads the run's f_bar^j and
-    # calls no f.
+@pytest.mark.parametrize("mode, node_rows", [("average", 0), ("pointwise", 1)])
+def test_temporal_estimate_samples_f_once_per_time(mode, node_rows):
+    # the run samples f once at each time it needs, in one call for these
+    # nine nodes: t_n under "pointwise" (node_rows), then the five Gauss
+    # times of each step, which build f_bar^n under "average" and the
+    # forcing defect under both.  temporal_estimate and the strong
+    # residual read what the run kept and call no f.
     f = lambda x, y, t: np.cos(5 * t) * (x + y)
-    traj = _traj(N=8, T=0.4, f=f, forcing_mode=mode)
     times = []
-    traj.f = lambda x, y, t: times.append(t) or f(x, y, t)
-    est.temporal_estimate(traj)
-    assert len(times) == per_step * 8
+    traj = _traj(N=8, T=0.4, f=lambda x, y, t: times.append(t) or f(x, y, t), forcing_mode=mode)
+    [t] = times
+    assert np.shape(t) == ((node_rows + 5) * 9, 1, 1)
+    t = np.reshape(t, (node_rows + 5, 9))
+    np.testing.assert_array_equal(t[:node_rows], traj.grid.nodes[None][:node_rows])
     tau, _ = quadrature.segment_rule(9)
-    for j, t in enumerate(times, start=1):
-        t_prev, t_j = traj.grid.interval(j)
-        assert np.shape(t) == (5, 1, 1)
+    for n in range(9):
+        t_prev, t_n = traj.grid.interval(n)
         np.testing.assert_allclose(
-            np.ravel(t), t_prev + tau * (t_j - t_prev), rtol=1e-15, atol=0.0
+            t[node_rows:, n], t_prev + tau * (t_n - t_prev), rtol=1e-15, atol=0.0
         )
+    est.temporal_estimate(traj)
     for n in range(9):
         est.r2_strong_values(traj, n)
-    assert len(times) == per_step * 8
+    assert len(times) == 1
 
 
 def test_temporal_accumulators_nondecreasing():

@@ -11,7 +11,9 @@ grid's step sizes, and solver.initial_stress call splu, so no factor of
 the mixed system gets around that cache.  Only
 spaces.py branches on the RT index: the element's layout, basis and
 derivatives live there, and no other module may compare rt_index with a
-constant or test its truth.
+constant or test its truth.  In the same way only solver.py branches on
+the forcing mode: solver.forcing_blocks alone decides how f is sampled,
+and every other module reads its samples or the ones the run kept.
 """
 
 import ast
@@ -126,22 +128,23 @@ def test_splu_guard_sees_calls_and_imports():
     ]
 
 
-def _rt_index_branches(tree):
-    """Lines that compare rt_index with a constant or test its truth."""
-    def is_rt(node):
+def _branches(tree, name):
+    """Lines that compare the variable or attribute `name` with a constant
+    or test its truth."""
+    def is_named(node):
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             node = node.operand
-        return "rt_index" in (getattr(node, "attr", None), getattr(node, "id", None))
+        return name in (getattr(node, "attr", None), getattr(node, "id", None))
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             constant = (ast.Constant, ast.Tuple, ast.List, ast.Set)
-            if any(map(is_rt, operands)) and any(isinstance(o, constant) for o in operands):
+            if any(map(is_named, operands)) and any(isinstance(o, constant) for o in operands):
                 yield node.lineno
-        elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)) and is_rt(node.test):
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)) and is_named(node.test):
             yield node.lineno
-        elif isinstance(node, ast.BoolOp) and any(map(is_rt, node.values)):
+        elif isinstance(node, ast.BoolOp) and any(map(is_named, node.values)):
             yield node.lineno
 
 
@@ -153,12 +156,29 @@ def test_rt_index_guard_sees_comparisons_and_truth_tests():
         "z = rt_index in (0, 1) or space.rt_index\n"
         "w = h ** (space.rt_index + 1)\n"
     )
-    assert sorted(_rt_index_branches(ast.parse(source))) == [1, 3, 4, 5, 5]
+    assert sorted(_branches(ast.parse(source), "rt_index")) == [1, 3, 4, 5, 5]
 
 
 @pytest.mark.parametrize(
     "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "spaces.py"}), ids=lambda p: p.name
 )
 def test_only_spaces_branches_on_the_rt_index(path):
-    lines = sorted(set(_rt_index_branches(ast.parse(path.read_text(), filename=str(path)))))
+    lines = sorted(set(_branches(ast.parse(path.read_text(), filename=str(path)), "rt_index")))
     assert not lines, "{} branches on rt_index at lines {}".format(path.name, lines)
+
+
+def test_forcing_mode_guard_sees_comparisons():
+    source = (
+        "if traj.forcing_mode == 'average':\n    pass\n"
+        "x = forcing_mode in ('pointwise', 'average')\n"
+        "y = run(system, f, u0, u1, grid, forcing_mode=mode)\n"
+    )
+    assert sorted(_branches(ast.parse(source), "forcing_mode")) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "solver.py"}), ids=lambda p: p.name
+)
+def test_only_solver_branches_on_the_forcing_mode(path):
+    lines = sorted(set(_branches(ast.parse(path.read_text(), filename=str(path)), "forcing_mode")))
+    assert not lines, "{} branches on forcing_mode at lines {}".format(path.name, lines)

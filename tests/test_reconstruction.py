@@ -168,7 +168,7 @@ def test_identity_enrichment_reproduces_states():
 def test_zero_data_reconstruction_is_zero():
     space = MixedSpace(unit_square_mesh(2), 0)
     fine_system = assemble_system(space)
-    u, s = rec.reconstruct_elliptic(fine_system, np.zeros(space.n_disp))
+    u, s = solver.solve_mixed(fine_system, 0.0, np.zeros(space.n_disp))
     assert np.abs(u).max() == 0.0
     assert np.abs(s).max() == 0.0
 
@@ -178,10 +178,10 @@ def test_stacked_right_hand_sides_match_single_solves(l):
     space = MixedSpace(unit_square_mesh(3), l)
     system = assemble_system(space)
     rhs = np.random.default_rng(3).standard_normal((5, space.n_disp))
-    u, s = rec.reconstruct_elliptic(system, rhs)
+    u, s = solver.solve_mixed(system, 0.0, rhs)
     assert u.shape == (5, space.n_disp) and s.shape == (5, space.n_stress)
     for row in range(5):
-        u1, s1 = rec.reconstruct_elliptic(system, rhs[row])
+        u1, s1 = solver.solve_mixed(system, 0.0, rhs[row])
         np.testing.assert_allclose(u[row], u1, rtol=1e-12, atol=1e-12 * np.abs(u1).max())
         np.testing.assert_allclose(s[row], s1, rtol=1e-12, atol=1e-12 * np.abs(s1).max())
 
@@ -222,6 +222,11 @@ def _saddle_solve(system, c, rhs):
 _K = 0.05
 
 
+def _reconstruction_solve(system, rows):
+    """(u, sigma) rows of the mixed system of the reconstruction: weight 0."""
+    return solver.solve_mixed(system, 0.0, rows)
+
+
 def _step_solve(system, rows):
     """(u, sigma) rows of the mixed system of a step of size _K: weight 1 / _K^2."""
     return solver.solve_mixed(system, _K ** -2, rows)
@@ -236,7 +241,7 @@ def test_reconstruction_matches_a_saddle_point_solve(mesh, l):
     A = sym.Matrix([[2 + _X, _Y / 2], [_Y / 2, 1 + _Y]]) if mesh == "jittered" else None
     system = assemble_system(MixedSpace(_MESHES[mesh](), l), A)
     rhs = np.random.default_rng(7).standard_normal((3, system.space.n_disp))
-    for c, solve in ((0.0, rec.reconstruct_elliptic), (_K ** -2, _step_solve)):
+    for c, solve in ((0.0, _reconstruction_solve), (_K ** -2, _step_solve)):
         ref_u, ref_s = _saddle_solve(system, c, rhs)
         for rows, u_want, s_want in ((rhs, ref_u, ref_s), (rhs[0], ref_u[0], ref_s[0])):
             u, s = solve(system, rows)
@@ -265,7 +270,7 @@ def test_reconstruction_solve_checks_its_residual(monkeypatch):
         def solve(self, b):
             return self.lu.solve(b) * (1.0 + 1e-8)
 
-    for c, solve in ((0.0, rec.reconstruct_elliptic), (_K ** -2, _step_solve)):
+    for c, solve in ((0.0, _reconstruction_solve), (_K ** -2, _step_solve)):
         solve(system, rhs)
         condensed = system._factor_cache[c]  # kept under the exact weight
         perturbed = dataclasses.replace(condensed, lu=Perturbed(condensed.lu))
@@ -331,9 +336,12 @@ def test_trajectory_reconstruction_holds_only_its_outputs():
     # SuperLU solves a block of right-hand sides with other kernels than
     # a single one, so the reconstructions agree to round-off relative to
     # the node's solution (u, sigma) as a whole; the transfers are exact
+    loads = np.concatenate([
+        load_of_values(fs.space, fbar)
+        for _, fbar, _ in solver.forcing_blocks(fs.space, f, grid, "average")
+    ])
     for n in range(grid.num_steps + 1):
-        load = solver.load_vector(fs, f, *grid.interval(n), "average")
-        u, s = rec.reconstruct_elliptic(fs, load - fs.M_u @ (enr.P_disp @ traj.d2U[n]))
+        u, s = solver.solve_mixed(fs, 0.0, loads[n] - fs.M_u @ (enr.P_disp @ traj.d2U[n]))
         scale = max(np.abs(u).max(), np.abs(s).max())
         close(recon.u_tilde[n], u, scale)
         close(recon.sigma_tilde[n], s, scale)
@@ -351,7 +359,7 @@ def test_enriched_solution_beats_coarse():
 
     def solve(spc):
         load = load_of_values(spc, g(spc.quad_points[..., 0], spc.quad_points[..., 1]))
-        return rec.reconstruct_elliptic(assemble_system(spc), load)[0]
+        return solver.solve_mixed(assemble_system(spc), 0.0, load)[0]
 
     for l in (0, 1):
         space = MixedSpace(unit_square_mesh(4), l)
@@ -365,3 +373,34 @@ def test_enriched_solution_beats_coarse():
             return float(np.sqrt((disp_l2_norm_cellwise(spc, d) ** 2).sum()))
 
         assert err(enr.fine, u_f) < err(space, u_c)
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "average"])
+def test_forcing_blocks_of_one_node_change_no_output(mode, monkeypatch):
+    # the run and the reconstruction sample f_bar^n in node blocks, one f
+    # call each; with blocks of one node every output they feed is
+    # bit-identical to the default blocking, on a graded grid of three
+    # step sizes (the other blocked loops get blocks of one node, or of
+    # 8 in solve_mixed, too)
+    space = MixedSpace(unit_square_mesh(3), 1)
+    enr = rec.enrich_space(space)
+    f = lambda x, y, t: np.cos(20 * t) * np.sin(np.pi * x) * (1.0 + y)
+    u0 = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    u1 = lambda x, y: np.zeros(np.shape(x))
+    grid = solver.TimeGrid(np.cumsum([0.0] + [1 / 64] * 8 + [1 / 32] * 4 + [1 / 16] * 3))
+    assert len(grid.sizes) == 3
+
+    def outputs():
+        calls = []
+        counted = lambda x, y, t: calls.append(t) or f(x, y, t)
+        traj = solver.run(assemble_system(space), counted, u0, u1, grid, forcing_mode=mode)
+        recon = rec.reconstruct_trajectory(traj, enriched=enr)
+        return len(calls), (traj.fbar_quad, traj.f_bar, traj.forcing_defect, recon.u_tilde)
+
+    calls, default = outputs()
+    assert calls == 2
+    monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 1)
+    calls, one_node = outputs()
+    assert calls == 2 * 16
+    for got, want in zip(one_node, default):
+        np.testing.assert_array_equal(got, want)

@@ -228,29 +228,42 @@ def test_run_keeps_the_forcing_it_sampled(mode):
         for load in (traj.f_bar[n], load_of_values(space, fbar)):
             assert np.abs(load - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    if mode == "pointwise":
-        assert traj.forcing_defect is None
-        return
+    # the forcing defect of either f_bar^n against the Gauss samples
     expected = [0.0]
     for n in range(1, 5):
         t0, t1 = grid.interval(n)
         k = t1 - t0
         g = [f(pts[..., 0], pts[..., 1], t0 + s * k) for s in tau]
-        mean = sum(wj * gj for wj, gj in zip(wts, g))
+        if mode == "pointwise":
+            fbar = f(x, y, t1)
+        else:
+            fbar = sum(wj * gj for wj, gj in zip(wts, g))
         expected.append(sum(
-            wj * k * np.sqrt(np.sum(w * (mean - gj) ** 2)) for wj, gj in zip(wts, g)
+            wj * k * np.sqrt(np.sum(w * (fbar - gj) ** 2)) for wj, gj in zip(wts, g)
         ))
     np.testing.assert_allclose(traj.forcing_defect, expected, rtol=1e-13, atol=0.0)
 
 
 def test_gauss_samples_of_a_time_independent_f():
-    # a forcing that ignores t and returns x.shape still gives the stack
-    pts = MixedSpace(unit_square_mesh(3), 1).quad_points
+    # a forcing that ignores t and returns x.shape still gives f_bar^n at
+    # every node, and its Gauss samples leave no forcing defect
+    space = MixedSpace(unit_square_mesh(3), 1)
+    pts = space.quad_points
     f = lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y)
-    samples = solver.gauss_samples(f, pts, 0.1, 0.2)
-    assert samples.shape == (5,) + pts.shape[:-1]
-    for fs in samples:
-        np.testing.assert_array_equal(fs, f(pts[..., 0], pts[..., 1], 0.0))
+    want = f(pts[..., 0], pts[..., 1], 0.0)
+    grid = solver.uniform_grid(0.2, 4)
+    for mode in ("pointwise", "average"):
+        blocks = list(solver.forcing_blocks(space, f, grid, mode, defect=True))
+        fbar = np.concatenate([fb for _, fb, _ in blocks])
+        defect = np.concatenate([d for _, _, d in blocks])
+        assert fbar.shape == (5,) + pts.shape[:-1]
+        for fs in fbar:
+            # the five Gauss weights sum to 1 within round-off
+            np.testing.assert_allclose(fs, want, rtol=1e-15, atol=0.0)
+        assert np.abs(defect).max() <= 1e-15 * np.abs(want).max()
+        if mode == "pointwise":
+            np.testing.assert_array_equal(fbar, np.broadcast_to(want, fbar.shape))
+            np.testing.assert_array_equal(defect, 0.0)
 
 
 def test_run_rejects_unknown_forcing_mode_without_forcing():
@@ -272,11 +285,12 @@ def test_energy_nonincreasing_without_forcing():
 
 def test_average_forcing_mode():
     space = MixedSpace(unit_square_mesh(3), 0)
-    system = assemble_system(space)
-    # f linear in t: interval average equals midpoint value
+    # f linear in t: the average over the step (0.2, 0.4] equals the
+    # value at its midpoint 0.3
     f = lambda x, y, t: t * np.ones_like(x)
-    load = solver.load_vector(system, f, 0.2, 0.4, "average")
-    mid = solver.load_vector(system, f, 0.0, 0.3, "pointwise")
+    [(_, avg, _)] = solver.forcing_blocks(space, f, solver.TimeGrid([0.0, 0.2, 0.4]), "average")
+    [(_, mid, _)] = solver.forcing_blocks(space, f, solver.TimeGrid([0.0, 0.3]), "pointwise")
+    load, mid = load_of_values(space, avg[2]), load_of_values(space, mid[1])
     assert np.abs(load - mid).max() < 1e-13
 
 
